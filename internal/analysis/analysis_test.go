@@ -155,15 +155,16 @@ func TestWakeCleanFixture(t *testing.T) {
 
 // TestAllocBadFixture: every class of hidden allocation on the hot path is
 // caught — append growth, map writes, make, escaping composites, closure
-// cells, interface boxing, fmt, and string concatenation.
+// cells, interface boxing, fmt, and string concatenation — and so is the
+// hidden copy of a flit-sized value receiver.
 func TestAllocBadFixture(t *testing.T) {
 	pkg := loadFixture(t, "allocbad")
 	fs := runAnalyzers(t, pkg, Hotalloc)
-	if got := countRule(fs, "hotalloc"); got != 8 {
-		t.Fatalf("hotalloc: got %d findings, want 8\n%v", got, fs)
+	if got := countRule(fs, "hotalloc"); got != 9 {
+		t.Fatalf("hotalloc: got %d findings, want 9\n%v", got, fs)
 	}
 	for _, want := range []string{
-		"append", "map", "make", "composite", "closure", "interface", "fmt", "concat",
+		"append", "map", "make", "composite", "closure", "interface", "fmt", "concat", "hot-copy",
 	} {
 		found := false
 		for _, f := range fs {

@@ -466,10 +466,44 @@ func (aw *allocWalker) scanConversion(info *types.Info, call *ast.CallExpr, site
 	}
 }
 
-// callee handles a resolved function callee: same-package bodies are walked,
-// fmt/errors are allocation sites by definition, audited cross-package
-// callees pass, everything else is a warning (the body is out of sight).
+// hotCopyBytes is the value-receiver size from which a method call on the
+// hot path is a hot-copy finding. A record.Rec (52 bytes) stays below it; a
+// record.Vector (836 bytes) or sim.Flit is far above.
+const hotCopyBytes = 128
+
+// gcSizes lays out types as the gc compiler does on amd64, the host the
+// simulator's profiles are taken on.
+var gcSizes = types.SizesFor("gc", "amd64")
+
+// valueReceiverSize returns the size of fn's receiver when fn is a method
+// with a value (non-pointer) receiver.
+func valueReceiverSize(fn *types.Func) (int64, bool) {
+	sig, _ := fn.Type().(*types.Signature)
+	if sig == nil || sig.Recv() == nil {
+		return 0, false
+	}
+	t := types.Unalias(sig.Recv().Type())
+	if _, isPtr := t.(*types.Pointer); isPtr || types.IsInterface(t) {
+		return 0, false
+	}
+	return gcSizes.Sizeof(t), true
+}
+
+// callee handles a resolved function callee: a method with a wide value
+// receiver is a hot-copy site wherever it lives, same-package bodies are
+// walked, fmt/errors are allocation sites by definition, audited
+// cross-package callees pass, everything else is a warning (the body is out
+// of sight).
+//
+// The hot-copy rule exists because Go copies a value receiver on every
+// call, even through a pointer: a per-lane predicate on record.Vector with
+// a value receiver costs an 836-byte runtime.duffcopy per lane tested.
+// Allocation-free is not copy-free, so the rule runs before the allowlists
+// below.
 func (aw *allocWalker) callee(fd *ast.FuncDecl, call *ast.CallExpr, fn *types.Func, via string, site func(token.Pos, string, ...any), isCold func(token.Pos) bool) {
+	if n, ok := valueReceiverSize(fn); ok && n >= hotCopyBytes {
+		site(call.Pos(), "hot-copy: %s has a value receiver, so each call copies %d bytes (use a pointer receiver)", calleeName(fn), n)
+	}
 	pkg := fn.Pkg()
 	if pkg != nil && pkg == aw.pass.Pkg {
 		aw.visit(fn, via)

@@ -12,6 +12,17 @@ type pair struct {
 	a, b int
 }
 
+// beat is a flit-sized value: 16 lanes of 13 words plus a mask, the shape
+// of record.Vector.
+type beat struct {
+	lane [16][13]uint32
+	mask uint16
+}
+
+// live is a read-only predicate with a value receiver: every call copies
+// the whole beat onto the stack, though it reads two bytes of it.
+func (b beat) live(i int) bool { return b.mask&(1<<uint(i)) != 0 }
+
 // Hog allocates on its per-cycle path in every way Go hides in plain
 // syntax.
 type Hog struct {
@@ -19,6 +30,7 @@ type Hog struct {
 	m    map[int]int
 	name string
 	eos  bool
+	cur  beat
 }
 
 func (h *Hog) Name() string { return "allocbad" }
@@ -39,6 +51,9 @@ func (h *Hog) Tick(cycle int64) {
 	_ = lbl
 	msg := h.name + "!" // FINDING: non-constant string concatenation
 	_ = msg
+	if h.cur.live(0) { // FINDING: hot-copy of an 836-byte value receiver
+		h.eos = true
+	}
 }
 
 // sink receives the escaping pointer; its own body is allocation-free.

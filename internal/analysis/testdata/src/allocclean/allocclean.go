@@ -1,8 +1,8 @@
 // Package allocclean is an analysis fixture: a component whose Tick moves
 // data only through the audited allocation-free surface — ring.Queue and
-// sim.Link ops, fixed-size record values, in-place slice filtering — plus
-// one reviewed amortization waiver. The hotalloc analyzer must report
-// nothing.
+// sim.Link ops, fixed-size record values, pointer-receiver reads of a
+// flit-sized value, in-place slice filtering — plus one reviewed
+// amortization waiver. The hotalloc analyzer must report nothing.
 package allocclean
 
 import (
@@ -12,6 +12,15 @@ import (
 	"aurochs/internal/ring"
 	"aurochs/internal/sim"
 )
+
+// beat is a flit-sized value; its read-only predicate takes a pointer
+// receiver, so calling it copies nothing.
+type beat struct {
+	lane [16][13]uint32
+	mask uint16
+}
+
+func (b *beat) live(i int) bool { return b.mask&(1<<uint(i)) != 0 }
 
 // Mover is steady-state allocation-free: every per-cycle operation reuses
 // storage that already exists.
@@ -23,6 +32,7 @@ type Mover struct {
 	eos  bool
 	id   int
 	tick int64
+	cur  beat
 }
 
 func (m *Mover) Name() string { return "allocclean" }
@@ -45,6 +55,10 @@ func (m *Mover) Tick(cycle int64) {
 				*v.PushRef() = f.Vec.Lane[i]
 			}
 		}
+	}
+	// Flit-sized values are read through pointer receivers.
+	if m.cur.live(0) {
+		m.id++
 	}
 	// Fixed-size record values.
 	r := record.Make(1, 2).Append(uint32(m.id))

@@ -194,6 +194,9 @@ func SortAt(hbm *dram.HBM, in SortedRun, key fabric.KeyFn, scratchA, scratchB ui
 	return runs[0], total, nil
 }
 
+// accumulate folds one phase's Result into a multi-phase kernel's total:
+// cycles and DRAM bytes add, and every phase counter is summed into the
+// total's Stats by name.
 func accumulate(total *Result, r Result) {
 	total.Cycles += r.Cycles
 	total.DRAMBytes += r.DRAMBytes
@@ -205,6 +208,11 @@ func accumulate(total *Result, r Result) {
 	}
 	if total.Stats == nil {
 		total.Stats = sim.NewStats()
+	}
+	if r.Stats != nil {
+		for _, name := range r.Stats.Names() {
+			total.Stats.Add(name, r.Stats.Get(name))
+		}
 	}
 }
 

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"aurochs/internal/dram"
@@ -157,6 +159,58 @@ func TestHashJoinMatchesReference(t *testing.T) {
 			t.Fatalf("P=%d: matches=%d want %d", P, len(got), wantCount)
 		}
 	}
+}
+
+// statsJoin runs a small two-pipeline HashJoin and returns its summed
+// phase counters.
+func statsJoin(t *testing.T) map[string]int64 {
+	t.Helper()
+	build, probe := kvRecs(3000, 7), kvRecs(2000, 11)
+	_, res, err := HashJoin(nil, build, probe, HashJoinOptions{Parts: 8, Pipelines: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats == nil {
+		t.Fatal("HashJoin returned nil Stats")
+	}
+	return res.Stats.Snapshot()
+}
+
+// TestHashJoinStatsCarryPhaseCounters: the multi-phase join's Result.Stats
+// is the sum of its partition, build and probe phases' counters, not an
+// empty set.
+func TestHashJoinStatsCarryPhaseCounters(t *testing.T) {
+	snap := statsJoin(t)
+	for _, suffix := range []string{".grants", ".requests"} {
+		if got := sumSuffix(snap, suffix); got <= 0 {
+			t.Errorf("sum of *%s counters = %d, want > 0 (%d counters)", suffix, got, len(snap))
+		}
+	}
+}
+
+// TestHashJoinStatsBatchIdentity: every counter the join reports, spad
+// grants and requests included, is identical on the scalar tick path.
+func TestHashJoinStatsBatchIdentity(t *testing.T) {
+	batch := statsJoin(t)
+	scalarTicks = true
+	defer func() { scalarTicks = false }()
+	scalar := statsJoin(t)
+	if !reflect.DeepEqual(batch, scalar) {
+		t.Fatalf("counters differ between batch and scalar runs:\nbatch:  %v\nscalar: %v", batch, scalar)
+	}
+	if sumSuffix(scalar, ".grants") <= 0 {
+		t.Fatal("scalar run reported no spad grants")
+	}
+}
+
+func sumSuffix(counters map[string]int64, suffix string) int64 {
+	var n int64
+	for name, v := range counters {
+		if strings.HasSuffix(name, suffix) {
+			n += v
+		}
+	}
+	return n
 }
 
 func TestHashJoinParallelismSpeedsUp(t *testing.T) {

@@ -375,7 +375,9 @@ func Q6(e Engine, d *Dataset) (QueryResult, error) {
 		return res, err
 	}
 	res.Cost.Add(c)
-	// Join demand and supply on locationId.
+	// Join demand and supply on locationId. Both sides come from map
+	// ranges; sorting them by key keeps the join's simulated cost
+	// independent of Go's map iteration order.
 	dkv := make([]KV, 0, len(demand))
 	for k, n := range demand {
 		dkv = append(dkv, KV{Key: k, Val: uint32(n)})
@@ -384,6 +386,8 @@ func Q6(e Engine, d *Dataset) (QueryResult, error) {
 	for k, n := range supply {
 		skv = append(skv, KV{Key: k, Val: uint32(n)})
 	}
+	sort.Slice(dkv, func(i, j int) bool { return dkv[i].Key < dkv[j].Key })
+	sort.Slice(skv, func(i, j int) bool { return skv[i].Key < skv[j].Key })
 	joined, c, err := e.EquiJoin(dkv, skv)
 	if err != nil {
 		return res, err

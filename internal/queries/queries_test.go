@@ -1,6 +1,7 @@
 package queries
 
 import (
+	"math"
 	"testing"
 )
 
@@ -33,6 +34,29 @@ func TestEnginesAgree(t *testing.T) {
 			if r.Cost.Seconds <= 0 {
 				t.Errorf("%s/%s: no cost recorded", r.Query, e.Name())
 			}
+		}
+	}
+}
+
+// TestQ6CostDeterministic: Q6 joins two GroupCount maps, so its join sides
+// must be built in key order, not map order, or the simulated cost drifts
+// from run to run. Five in-process runs must agree bit for bit.
+func TestQ6CostDeterministic(t *testing.T) {
+	d := Generate(SmallScale(), 1)
+	e := NewAurochs(4)
+	ref, err := Q6(e, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 5; i++ {
+		r, err := Q6(e, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(r.Cost.Seconds) != math.Float64bits(ref.Cost.Seconds) ||
+			r.Fingerprint != ref.Fingerprint || r.Rows != ref.Rows {
+			t.Fatalf("run %d: cost %v fp %x rows %d, first run cost %v fp %x rows %d",
+				i, r.Cost.Seconds, r.Fingerprint, r.Rows, ref.Cost.Seconds, ref.Fingerprint, ref.Rows)
 		}
 	}
 }

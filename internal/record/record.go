@@ -28,6 +28,11 @@ const (
 
 // Rec is a single record: N live 32-bit fields. Fields beyond N are zero.
 // The zero value is an empty record.
+//
+// The read accessors take pointer receivers so that reading a field of a
+// record in a link slot does not copy all 52 bytes of it; the
+// functional-update methods (Set, Append, ...) take value receivers because
+// they return a modified copy.
 type Rec struct {
 	F [MaxFields]uint32
 	N uint8
@@ -46,7 +51,7 @@ func Make(fields ...uint32) Rec {
 
 // Get returns field i. It panics if i is out of range, matching how a
 // misconfigured tile would fail at reconfiguration time.
-func (r Rec) Get(i int) uint32 {
+func (r *Rec) Get(i int) uint32 {
 	if i < 0 || i >= int(r.N) {
 		panic(fmt.Sprintf("record: field %d out of range (N=%d)", i, r.N))
 	}
@@ -107,12 +112,12 @@ func (r Rec) Truncate(n int) Rec {
 }
 
 // Len reports the number of live fields.
-func (r Rec) Len() int { return int(r.N) }
+func (r *Rec) Len() int { return int(r.N) }
 
 // U64 reads fields i (low word) and i+1 (high word) as one 64-bit value.
 // Keys wider than a 32-bit lane are split across adjacent fields and
 // compared across pipeline stages, mirroring Gorgon's record layout.
-func (r Rec) U64(i int) uint64 {
+func (r *Rec) U64(i int) uint64 {
 	return uint64(r.Get(i)) | uint64(r.Get(i+1))<<32
 }
 
@@ -123,13 +128,13 @@ func (r Rec) SetU64(i int, v uint64) Rec {
 }
 
 // F32 interprets field i as an IEEE-754 float32.
-func (r Rec) F32(i int) float32 { return math.Float32frombits(r.Get(i)) }
+func (r *Rec) F32(i int) float32 { return math.Float32frombits(r.Get(i)) }
 
 // SetF32 stores a float32 in field i.
 func (r Rec) SetF32(i int, v float32) Rec { return r.Set(i, math.Float32bits(v)) }
 
 // I32 interprets field i as a signed 32-bit integer.
-func (r Rec) I32(i int) int32 { return int32(r.Get(i)) }
+func (r *Rec) I32(i int) int32 { return int32(r.Get(i)) }
 
 // SetI32 stores a signed 32-bit integer in field i.
 func (r Rec) SetI32(i int, v int32) Rec { return r.Set(i, uint32(v)) }

@@ -39,8 +39,8 @@ func TestAppendTruncate(t *testing.T) {
 
 func TestOutOfRangePanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"get":       func() { Make(1).Get(1) },
-		"get-neg":   func() { Make(1).Get(-1) },
+		"get":       func() { r := Make(1); r.Get(1) },
+		"get-neg":   func() { r := Make(1); r.Get(-1) },
 		"set-max":   func() { Make(1).Set(MaxFields, 0) },
 		"trunc-big": func() { Make(1).Truncate(2) },
 		"make-wide": func() { Make(make([]uint32, MaxFields+1)...) },
@@ -69,7 +69,8 @@ func TestF32AndI32RoundTrip(t *testing.T) {
 	if err := quick.Check(func(f float32, i int32) bool {
 		r := Make(0, 0).SetF32(0, f).SetI32(1, i)
 		// NaN != NaN, so compare bit patterns.
-		return r.Get(0) == Make(0).SetF32(0, f).Get(0) && r.I32(1) == i
+		want := Make(0).SetF32(0, f)
+		return r.Get(0) == want.Get(0) && r.I32(1) == i
 	}, nil); err != nil {
 		t.Error(err)
 	}
@@ -105,6 +106,85 @@ func TestVectorPushCount(t *testing.T) {
 		}
 	}()
 	v.Push(Make(0))
+}
+
+// TestVectorPredicatesThroughPointer drives the read-only predicates and
+// the in-place push/append ops through a *Vector, the way tiles call them
+// on link slots, across the mask shapes the fabric produces.
+func TestVectorPredicatesThroughPointer(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		mask      uint16
+		count     int
+		dense     bool
+		wantLanes []int
+	}{
+		{"empty", 0, 0, true, nil},
+		{"sparse", 1<<3 | 1<<7 | 1<<12, 3, false, []int{3, 7, 12}},
+		{"non-dense", 0b1011, 3, false, []int{0, 1, 3}},
+		{"15-lane", 0x7fff, 15, true, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14}},
+		{"full", 0xffff, 16, true, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			v := &Vector{Mask: tc.mask}
+			for i := range v.Lane {
+				v.Lane[i] = Make(uint32(i), uint32(100+i))
+			}
+			if got := v.Count(); got != tc.count {
+				t.Errorf("Count = %d, want %d", got, tc.count)
+			}
+			if got := v.Dense(); got != tc.dense {
+				t.Errorf("Dense = %v, want %v", got, tc.dense)
+			}
+			for i := 0; i < NumLanes; i++ {
+				if got, want := v.Valid(i), tc.mask&(1<<uint(i)) != 0; got != want {
+					t.Errorf("Valid(%d) = %v, want %v", i, got, want)
+				}
+			}
+
+			prefix := Make(999)
+			dst := v.AppendRecords([]Rec{prefix})
+			if len(dst) != 1+len(tc.wantLanes) || !dst[0].Equal(prefix) {
+				t.Fatalf("AppendRecords = %v, want prefix then lanes %v", dst, tc.wantLanes)
+			}
+			for k, lane := range tc.wantLanes {
+				if !dst[1+k].Equal(v.Lane[lane]) {
+					t.Errorf("AppendRecords[%d] = %v, want lane %d %v", 1+k, dst[1+k], lane, v.Lane[lane])
+				}
+			}
+
+			if !tc.dense {
+				return // PushRef is defined on dense vectors only
+			}
+			if tc.count == NumLanes {
+				assertPanics(t, "PushRef on a full vector", func() { v.PushRef() })
+				assertPanics(t, "Push on a full vector", func() { v.Push(Make(0)) })
+				return
+			}
+			r := v.PushRef()
+			if r != &v.Lane[tc.count] {
+				t.Fatalf("PushRef returned a pointer outside lane %d", tc.count)
+			}
+			*r = Make(7)
+			if v.Count() != tc.count+1 || !v.Dense() || !v.Valid(tc.count) || v.Lane[tc.count].Get(0) != 7 {
+				t.Fatalf("after PushRef: count=%d dense=%v mask=%016b", v.Count(), v.Dense(), v.Mask)
+			}
+			for v.Count() < NumLanes {
+				v.PushRef()
+			}
+			assertPanics(t, "PushRef after filling", func() { v.PushRef() })
+		})
+	}
+}
+
+func assertPanics(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s must panic", what)
+		}
+	}()
+	fn()
 }
 
 func TestVectorCompact(t *testing.T) {

@@ -10,19 +10,23 @@ import (
 // plus a valid mask. Thread compaction (paper §III-A, fig. 5c) produces
 // dense vectors — all valid lanes packed low — which is the form every tile
 // in this simulator emits.
+//
+// Methods that read a vector take pointer receivers: Go copies a value
+// receiver on every call, and at 836 bytes that copy dominated the per-lane
+// Valid tests and the Count inside every PushRef.
 type Vector struct {
 	Lane [NumLanes]Rec
 	Mask uint16
 }
 
 // Count returns the number of valid lanes.
-func (v Vector) Count() int { return bits.OnesCount16(v.Mask) }
+func (v *Vector) Count() int { return bits.OnesCount16(v.Mask) }
 
 // Valid reports whether lane i holds a live record.
-func (v Vector) Valid(i int) bool { return v.Mask&(1<<uint(i)) != 0 }
+func (v *Vector) Valid(i int) bool { return v.Mask&(1<<uint(i)) != 0 }
 
 // Dense reports whether all valid lanes are packed at the low end.
-func (v Vector) Dense() bool {
+func (v *Vector) Dense() bool {
 	n := v.Count()
 	return v.Mask == uint16(1<<uint(n))-1
 }

@@ -24,7 +24,8 @@ func TestLinkRegisteredLatency(t *testing.T) {
 	if l.Empty() {
 		t.Fatal("latency-1 push must be visible after commit")
 	}
-	if got := l.Pop().Vec.Lane[0].Get(0); got != 42 {
+	f := l.Pop()
+	if got := f.Vec.Lane[0].Get(0); got != 42 {
 		t.Fatalf("got %d", got)
 	}
 }
@@ -69,7 +70,8 @@ func TestLinkFIFOOrder(t *testing.T) {
 		l.commit(int64(i))
 	}
 	for i := uint32(0); i < 4; i++ {
-		if got := l.Pop().Vec.Lane[0].Get(0); got != i {
+		f := l.Pop()
+		if got := f.Vec.Lane[0].Get(0); got != i {
 			t.Fatalf("pop %d: got %d", i, got)
 		}
 	}
