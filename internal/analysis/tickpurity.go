@@ -9,8 +9,7 @@ import (
 )
 
 // TickPureWaiver suppresses the tickpurity rule on the method it annotates,
-// asserting the mutation is invisible to simulation results (the canonical
-// case: hbmComponent.Idle refreshing the HBM's clock on a skipped cycle).
+// asserting the mutation is invisible to simulation results.
 const TickPureWaiver = "lint:tickpure-ok"
 
 // pureMethodNames are the observation methods the simulator kernel may call
@@ -40,8 +39,8 @@ var knownPureCalls = map[string]bool{
 	"internal/sim.System.Components": true, "internal/sim.System.Links": true,
 	// dram.HBM observation API: pure functions of (state, cycle).
 	"internal/dram.HBM.Drained": true, "internal/dram.HBM.Idle": true,
-	"internal/dram.HBM.QuiescentAt":    true,
-	"internal/dram.HBM.NextWriteEvent": true,
+	"internal/dram.HBM.QuiescentAt": true,
+	"internal/dram.HBM.NextEvent":   true,
 	// ring.Queue observers (internal/ring/ring.go documents purity).
 	"internal/ring.Queue.Len": true, "internal/ring.Queue.Empty": true,
 	"internal/ring.Queue.Front": true, "internal/ring.Queue.At": true,

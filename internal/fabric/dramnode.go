@@ -33,7 +33,9 @@ type DRAMNode struct {
 	eosIn          bool
 	eos            bool
 
-	wdata []uint32 // scratch for write payloads (consumed synchronously by SubmitAt)
+	wdata []uint32   // scratch for write payloads (consumed synchronously by SubmitAt)
+	resp  [1]uint32  // scratch for atomic responses (Apply may not retain resp)
+	stage record.Rec // the record being completed (see complete)
 
 	stallCnt, reqCnt, dropCnt *sim.Counter
 }
@@ -121,95 +123,95 @@ func (d *DRAMNode) Tick(cycle int64) {
 
 // submit pushes backlogged records into the memory system, stalling when
 // the response side backs up (bounded buffering, like the scratchpad's
-// response compactor).
+// response compactor). A posted write — plain or atomic — is acknowledged
+// inside SubmitAt, so it completes here without a callback.
 //
-// lint:hotalloc-ok — the per-request payload slices and completion closures
-// escape into the HBM callback and live until the response returns; one
-// small allocation per DRAM request is amortized over the multi-ten-cycle
-// round trip, and the write scratch (d.wdata) is cap-guarded reuse.
+// lint:hotalloc-ok — a read's completion closure (and the HBM's
+// per-request buffer behind it) escapes into the HBM callback and lives
+// until the response returns; one small allocation per DRAM read is
+// amortized over the multi-ten-cycle round trip. Writes and atomics use
+// the node's scratch (d.wdata, d.resp) and allocate nothing.
 func (d *DRAMNode) submit(cycle int64) {
 	for d.backlog.Len() > 0 && d.outstanding < d.maxOutstanding &&
 		d.ready.Len()+d.outstanding < 8*record.NumLanes {
-		r := *d.backlog.Front()
+		r := d.backlog.Front()
 		w := d.width()
-		addr := d.spec.Addr(&r)
+		addr := d.spec.Addr(r)
 		req := dram.Request{Addr: addr, Words: w}
+		var resp []uint32
 		switch d.spec.Op {
 		case spad.OpWrite:
 			// SubmitAt consumes write payloads synchronously, so the
 			// scratch buffer is safe to reuse across records.
-			if cap(d.wdata) < w {
-				d.wdata = make([]uint32, w)
-			}
-			data := d.wdata[:w]
+			req.Data = d.scratch(w)
 			for i := 0; i < w; i++ {
-				data[i] = d.spec.Data(&r, i)
+				req.Data[i] = d.spec.Data(r, i)
 			}
 			req.Write = true
-			req.Data = data
 		case spad.OpRead:
-			// nothing extra
+			rr := *r
+			req.Done = func(data []uint32) { d.complete(&rr, data) }
 		case spad.OpFAA:
 			// Atomic at the memory controller: mutate functionally now
-			// (submissions are serialized), respond after the round trip.
+			// (submissions are serialized) and respond once the update
+			// is posted.
 			old := d.h.ReadWord(addr)
-			d.h.WriteWord(addr, old+d.spec.Data(&r, 0))
+			d.h.WriteWord(addr, old+d.spec.Data(r, 0))
 			req.Write = true
-			req.Data = []uint32{old + d.spec.Data(&r, 0)}
-			rr := r
-			prev := old
-			req.Done = d.completer(rr, []uint32{prev})
+			req.Data = d.scratch(1)
+			req.Data[0] = old + d.spec.Data(r, 0)
+			d.resp[0] = old
+			resp = d.resp[:]
 		case spad.OpCAS:
 			cur := d.h.ReadWord(addr)
-			if cur == d.spec.Data(&r, 0) {
-				d.h.WriteWord(addr, d.spec.Data(&r, 1))
+			if cur == d.spec.Data(r, 0) {
+				d.h.WriteWord(addr, d.spec.Data(r, 1))
 			}
 			req.Write = true
-			req.Data = []uint32{d.h.ReadWord(addr)}
-			req.Done = d.completer(r, []uint32{cur})
+			req.Data = d.scratch(1)
+			req.Data[0] = d.h.ReadWord(addr)
+			d.resp[0] = cur
+			resp = d.resp[:]
 		default:
 			panic("fabric: dram node op not implemented: " + d.spec.Op.String())
-		}
-		if req.Done == nil {
-			rr := r
-			if req.Write {
-				req.Done = func([]uint32) { d.complete(rr, nil) }
-			} else {
-				req.Done = func(data []uint32) { d.complete(rr, data) }
-			}
 		}
 		if !d.h.SubmitAt(cycle, req) {
 			d.stallCnt.Add(1)
 			return
 		}
 		d.outstanding++
+		if req.Write {
+			d.complete(r, resp)
+		}
 		d.backlog.Drop()
 		d.reqCnt.Add(1)
 	}
 }
 
-// completer binds one response to the completion path.
-//
-// lint:hotalloc-ok — one closure per atomic request, amortized over the
-// DRAM round trip (see submit).
-func (d *DRAMNode) completer(r record.Rec, resp []uint32) func([]uint32) {
-	return func([]uint32) { d.complete(r, resp) }
+// scratch returns the node's reusable write payload buffer, sized w.
+func (d *DRAMNode) scratch(w int) []uint32 {
+	if cap(d.wdata) < w {
+		d.wdata = make([]uint32, w)
+	}
+	return d.wdata[:w]
 }
 
-// complete applies the response to the thread and queues it for output. It
-// runs inside the HBM's tick (the completion callback fires when the
-// controller retires the request), and DRAMNode declares that HBM via
-// SharedState — so the kernel's partner-tick wake channel re-examines this
-// node's Idle on every HBM tick and the mutations below cannot strand a
-// sleeping node.
-func (d *DRAMNode) complete(r record.Rec, resp []uint32) {
+// complete applies the response to the thread and queues it for output.
+// For a read it runs inside the HBM's tick (the completion callback fires
+// when the controller retires the request), and DRAMNode declares that HBM
+// via SharedState — so the kernel's partner-tick wake channel re-examines
+// this node's Idle on every HBM tick and the mutations below cannot strand
+// a sleeping node. The record is staged in d.stage so handing it to Apply
+// does not move it to the heap.
+func (d *DRAMNode) complete(r *record.Rec, resp []uint32) {
 	d.outstanding-- // lint:wakeprop-ok fires inside the HBM partner's tick; partner-tick wake re-checks Idle
+	d.stage = *r
 	keep := true
 	if d.spec.Apply != nil {
-		keep = d.spec.Apply(&r, resp)
+		keep = d.spec.Apply(&d.stage, resp)
 	}
 	if keep {
-		*d.ready.PushRefDirty() = r // lint:wakeprop-ok fires inside the HBM partner's tick; partner-tick wake re-checks Idle
+		*d.ready.PushRefDirty() = d.stage // lint:wakeprop-ok fires inside the HBM partner's tick; partner-tick wake re-checks Idle
 	} else {
 		d.dropCnt.Add(1)
 	}

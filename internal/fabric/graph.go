@@ -145,20 +145,22 @@ func (c *hbmComponent) Tick(cycle int64) { c.h.Tick(cycle) }
 // here is safe.
 func (c *hbmComponent) Done() bool { return c.h.Drained() }
 
-// Idle implements sim.Idler: ticking an HBM with no queued or in-flight
-// work — and no posted write due for its age-out flush — is a no-op. The
-// answer is a pure function of (state, cycle); DRAM nodes submit via
-// SubmitAt with their own cycle, so no clock side channel is needed.
+// Idle implements sim.Idler: ticking an HBM with nothing queued, no
+// in-flight burst due, and no posted write due for its age-out flush is a
+// no-op. The answer is a pure function of (state, cycle); DRAM nodes
+// submit via SubmitAt with their own cycle, so the clock a sleeping HBM
+// last saw is never read.
 func (c *hbmComponent) Idle(cycle int64) bool {
 	return c.h.QuiescentAt(cycle)
 }
 
-// WakeHint implements sim.WakeHinter: left alone, the HBM's only future
-// event is the oldest posted write crossing the age-out horizon.
-// Everything else it does reacts to a submission, and submitters share
-// identity state with it (SharedState), so they wake it as partners.
+// WakeHint implements sim.WakeHinter: left alone, the HBM's next event is
+// its earliest burst completion or the oldest posted write crossing the
+// age-out horizon, so it sleeps through DRAM round trips. Everything else
+// it does reacts to a submission, and submitters share identity state
+// with it (SharedState), so they wake it as partners.
 func (c *hbmComponent) WakeHint(cycle int64) int64 {
-	return c.h.NextWriteEvent()
+	return c.h.NextEvent()
 }
 
 // SharedState implements sim.StateSharer: every DRAM node submitting to

@@ -7,7 +7,7 @@
 package rtree
 
 import (
-	"sort"
+	"slices"
 
 	"aurochs/internal/dram"
 	"aurochs/internal/index/zorder"
@@ -81,10 +81,39 @@ func (t *Tree) NodeAddr(idx uint32) uint32 { return t.Base + idx*NodeWords }
 // WordsUsed returns the DRAM words the tree occupies.
 func (t *Tree) WordsUsed() uint32 { return t.Nodes * NodeWords }
 
+// centerZ is the Z-order key of r's center on the quantized grid.
+func centerZ(r Rect, maxCoord uint32) uint32 {
+	return zorder.Encode(
+		zorder.Quantize((r.MinX+r.MaxX)/2, maxCoord),
+		zorder.Quantize((r.MinY+r.MaxY)/2, maxCoord))
+}
+
 // Build bulk-loads entries into a new tree at base. maxCoord is the
 // largest coordinate value (for Z-curve quantization).
 func Build(h *dram.HBM, base uint32, entries []Entry, maxCoord uint32) *Tree {
-	t := &Tree{HBM: h, Base: base, Len: len(entries), MaxCoord: maxCoord}
+	return pack(h, base, zSort(entries, maxCoord), maxCoord)
+}
+
+// zSort linearizes entries on the Z-curve of their rectangle centers,
+// keeping equal-key entries in input order. Each key is computed once and
+// packed above its entry's index, so a plain sort of the packed words is
+// the stable sort by key.
+func zSort(entries []Entry, maxCoord uint32) []Entry {
+	keys := make([]uint64, len(entries))
+	for i, e := range entries {
+		keys[i] = uint64(centerZ(e.Rect, maxCoord))<<32 | uint64(i)
+	}
+	slices.Sort(keys)
+	sorted := make([]Entry, len(entries))
+	for i, k := range keys {
+		sorted[i] = entries[uint32(k)]
+	}
+	return sorted
+}
+
+// pack writes Z-sorted entries bottom-up into a new tree at base.
+func pack(h *dram.HBM, base uint32, sorted []Entry, maxCoord uint32) *Tree {
+	t := &Tree{HBM: h, Base: base, Len: len(sorted), MaxCoord: maxCoord}
 	writeNode := func(idx uint32, isLeaf bool, ents []Entry) Rect {
 		a := t.NodeAddr(idx)
 		flag := uint32(0)
@@ -109,23 +138,11 @@ func Build(h *dram.HBM, base uint32, entries []Entry, maxCoord uint32) *Tree {
 		return mbr
 	}
 
-	if len(entries) == 0 {
+	if len(sorted) == 0 {
 		h.WriteWord(base, 1)
 		t.Nodes, t.Root, t.Height = 1, 0, 1
 		return t
 	}
-
-	// Linearize on the Z-curve of the rectangle centers.
-	sorted := append([]Entry(nil), entries...)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		zi := zorder.Encode(
-			zorder.Quantize((sorted[i].Rect.MinX+sorted[i].Rect.MaxX)/2, maxCoord),
-			zorder.Quantize((sorted[i].Rect.MinY+sorted[i].Rect.MaxY)/2, maxCoord))
-		zj := zorder.Encode(
-			zorder.Quantize((sorted[j].Rect.MinX+sorted[j].Rect.MaxX)/2, maxCoord),
-			zorder.Quantize((sorted[j].Rect.MinY+sorted[j].Rect.MaxY)/2, maxCoord))
-		return zi < zj
-	})
 
 	next := uint32(0)
 	var level []Entry // entries describing the current level's nodes

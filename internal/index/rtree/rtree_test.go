@@ -2,10 +2,13 @@ package rtree
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"aurochs/internal/dram"
+	"aurochs/internal/index/zorder"
 )
 
 func randomPoints(n int, maxCoord uint32, seed int64) []Entry {
@@ -123,5 +126,60 @@ func TestRectPredicates(t *testing.T) {
 	}
 	if !a.Contains(10, 0) || a.Contains(11, 0) {
 		t.Error("contains broken")
+	}
+}
+
+// legacyZSort is the comparator Build used before it precomputed keys: two
+// Z encodings per comparison under sort.SliceStable.
+func legacyZSort(entries []Entry, maxCoord uint32) []Entry {
+	sorted := append([]Entry(nil), entries...)
+	sort.SliceStable(sorted, func(i, j int) bool {
+		zi := zorder.Encode(
+			zorder.Quantize((sorted[i].Rect.MinX+sorted[i].Rect.MaxX)/2, maxCoord),
+			zorder.Quantize((sorted[i].Rect.MinY+sorted[i].Rect.MaxY)/2, maxCoord))
+		zj := zorder.Encode(
+			zorder.Quantize((sorted[j].Rect.MinX+sorted[j].Rect.MaxX)/2, maxCoord),
+			zorder.Quantize((sorted[j].Rect.MinY+sorted[j].Rect.MaxY)/2, maxCoord))
+		return zi < zj
+	})
+	return sorted
+}
+
+// TestBuildMatchesLegacySort: with many entries sharing a center (so the
+// sort's stability decides their order), Build lays out exactly the tree
+// the per-comparison-encoding sort produced.
+func TestBuildMatchesLegacySort(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		maxC := uint32(1 + rng.Intn(4000))
+		n := rng.Intn(3000)
+		centers := 1 + rng.Intn(64)
+		cx := make([]uint32, centers)
+		cy := make([]uint32, centers)
+		for i := range cx {
+			cx[i], cy[i] = rng.Uint32()%maxC, rng.Uint32()%maxC
+		}
+		entries := make([]Entry, n)
+		for i := range entries {
+			c := rng.Intn(centers)
+			// Symmetric extents keep the center (up to integer halving).
+			r := rng.Uint32() % 4
+			x, y := cx[c], cy[c]
+			if x < r || y < r || x+r > maxC || y+r > maxC {
+				r = 0
+			}
+			entries[i] = Entry{Rect: Rect{x - r, y - r, x + r, y + r}, ID: uint32(i)}
+		}
+		got := Build(dram.New(dram.DefaultConfig()), 64, entries, maxC)
+		want := pack(dram.New(dram.DefaultConfig()), 64, legacyZSort(entries, maxC), maxC)
+		if got.Root != want.Root || got.Nodes != want.Nodes || got.Height != want.Height || got.Bounds != want.Bounds {
+			t.Fatalf("seed %d: tree (root %d, nodes %d, height %d) != legacy (root %d, nodes %d, height %d)",
+				seed, got.Root, got.Nodes, got.Height, want.Root, want.Nodes, want.Height)
+		}
+		gw := got.HBM.SnapshotWords(got.Base, int(got.WordsUsed()))
+		ww := want.HBM.SnapshotWords(want.Base, int(want.WordsUsed()))
+		if !slices.Equal(gw, ww) {
+			t.Fatalf("seed %d: node words differ from the legacy layout", seed)
+		}
 	}
 }
