@@ -36,7 +36,7 @@ func RangeQuery(hbm *dram.HBM, table core.SortedRun, lo, hi uint32) (int, core.R
 		}
 		return -1
 	}, in, []fabric.Output{{Link: hit}}, nil))
-	snk := fabric.NewSink("gsc.sink", hit)
+	snk := fabric.NewCountSink("gsc.sink", hit)
 	g.Add(snk)
 	cycles, err := g.Run(int64(table.Recs)*64 + 1_000_000)
 	res := core.Result{Cycles: cycles, Stats: g.Stats(), DRAMBytes: g.HBM.BytesMoved()}
@@ -84,7 +84,7 @@ func SpatialJoin(hbm *dram.HBM, table []record.Rec, probes []record.Rec) (int, c
 		}
 		hits += n
 	}, in, hit))
-	snk := fabric.NewSink("gsp.sink", hit)
+	snk := fabric.NewCountSink("gsp.sink", hit)
 	g.Add(snk)
 	cycles, err := g.Run(int64(len(table))*64*int64(len(probes)+1) + 1_000_000)
 	if err != nil {
@@ -143,7 +143,7 @@ func SortedAggregate(hbm *dram.HBM, rows []record.Rec) (int, core.Result, error)
 			last = r.Get(0)
 		}
 	}, in, out))
-	snk := fabric.NewSink("gag.sink", out)
+	snk := fabric.NewCountSink("gag.sink", out)
 	g.Add(snk)
 	cycles, err := g.Run(int64(len(rows))*64 + 1_000_000)
 	if err != nil {

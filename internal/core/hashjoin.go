@@ -15,7 +15,7 @@ type HashJoinOptions struct {
 	Parts uint32
 	// Pipelines is the stream-level parallelism P: how many partition /
 	// build / probe pipelines run concurrently on the fabric, sharing the
-	// HBM (fig. 12's knob).
+	// HBM (fig. 12's knob). It must be a power of two; zero means one.
 	Pipelines int
 	// FirstMatchOnly selects semi-join semantics.
 	FirstMatchOnly bool
@@ -52,6 +52,11 @@ func HashJoin(hbm *dram.HBM, buildSide, probeSide []record.Rec, opt HashJoinOpti
 	}
 	opt.fill(len(buildSide))
 	P := opt.Pipelines
+	// The splitter routes on the low hash bits, so only a power of two
+	// keeps every pipeline busy.
+	if P < 1 || P&(P-1) != 0 {
+		return nil, Result{}, fmt.Errorf("core: pipelines must be a positive power of two, got %d", P)
+	}
 	partsPer := opt.Parts / uint32(P)
 	var total Result
 

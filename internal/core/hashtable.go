@@ -467,7 +467,7 @@ func buildPipeline(g *fabric.Graph, pf string, ht *HashTable, input StreamIn) *f
 		r.Put(f.cur, r.Get(f.obs))
 	}, recirc, recirc2).Cyclic().Typed(fullS, fullS))
 
-	snk := fabric.NewSink(pf+".sink", done).Typed(fullS)
+	snk := fabric.NewCountSink(pf+".sink", done).Typed(fullS)
 	g.Add(snk)
 	return snk
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -157,6 +158,40 @@ func TestHashJoinMatchesReference(t *testing.T) {
 		}
 		if len(got) != wantCount {
 			t.Fatalf("P=%d: matches=%d want %d", P, len(got), wantCount)
+		}
+	}
+}
+
+// TestHashJoinPipelines: the splitter routes rows on the low hash bits,
+// so a pipeline count that is not a positive power of two is rejected
+// instead of silently idling pipelines; valid counts match the host join.
+func TestHashJoinPipelines(t *testing.T) {
+	build, probe := kv(2000, 900, 3), kv(1500, 1200, 4)
+	want := refJoin(build, probe)
+	for _, tc := range []struct {
+		p  int
+		ok bool
+	}{{1, true}, {2, true}, {4, true}, {3, false}, {5, false}, {6, false}, {-1, false}} {
+		got, _, err := HashJoin(nil, build, probe, HashJoinOptions{Pipelines: tc.p})
+		if !tc.ok {
+			if err == nil {
+				t.Errorf("P=%d: accepted, want an error", tc.p)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("P=%d: %v", tc.p, err)
+		}
+		gotJoin := make(map[[2]uint32][]uint32)
+		for _, m := range got {
+			key := [2]uint32{m.Get(0), m.Get(1)}
+			gotJoin[key] = append(gotJoin[key], m.Get(2))
+		}
+		for _, vs := range gotJoin {
+			sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
+		}
+		if !reflect.DeepEqual(gotJoin, want) {
+			t.Errorf("P=%d: %d matches differ from the host join's", tc.p, len(got))
 		}
 	}
 }

@@ -44,10 +44,7 @@ func (g *Graph) FlowNet() *flow.Net {
 		switch v := c.(type) {
 		case *Source:
 			nd.Kind = flow.SourceKind
-			nd.Supply = 0
-			for _, vec := range v.vecs {
-				nd.Supply += vec.Count()
-			}
+			nd.Supply = len(v.recs)
 		case *DRAMScan:
 			nd.Kind = flow.SourceKind
 			if v.recWords > 0 {

@@ -8,20 +8,24 @@ import (
 	"aurochs/internal/sim"
 )
 
-// Source feeds a pre-materialized record stream into the fabric at one
-// vector per cycle, then signals end-of-stream.
+// Source streams the caller's record slice into the fabric, packing up to
+// one vector (NumLanes records) per cycle, then signals end-of-stream.
+// Records are copied straight from the slice into the link slot, so the
+// stream is never materialised as vectors on the host.
 type Source struct {
 	name   string
 	out    *sim.Link
-	vecs   []record.Vector
+	recs   []record.Rec
 	pos    int
 	eos    bool
 	schema *record.Schema // lint:sharedstate-ok — schemas are immutable after construction
 }
 
-// NewSource builds a source from records (vectorized densely).
+// NewSource builds a source that emits recs densely, in order. The source
+// reads recs in place: the caller may not modify the slice until the graph's
+// Run returns.
 func NewSource(name string, recs []record.Rec, out *sim.Link) *Source {
-	return &Source{name: name, out: out, vecs: record.Vectorize(recs)}
+	return &Source{name: name, out: out, recs: recs}
 }
 
 // Name implements sim.Component.
@@ -44,29 +48,41 @@ func (s *Source) Tick(cycle int64) {
 	if s.eos || !s.out.CanPush() {
 		return
 	}
-	if s.pos < len(s.vecs) {
-		// StageVec writes the vector straight into the ring slot — one copy
-		// instead of composing a Flit on the stack and copying it again.
-		*s.out.StageVec(cycle) = s.vecs[s.pos]
-		s.pos++
+	if s.pos < len(s.recs) {
+		// Up to NumLanes records are copied straight into the slot's low
+		// lanes, so the vector is dense.
+		v := s.out.StageVec(cycle)
+		n := copy(v.Lane[:], s.recs[s.pos:])
+		v.Mask = uint16(1<<uint(n) - 1)
+		s.pos += n
 		return
 	}
 	s.out.PushEOS(cycle)
 	s.eos = true
 }
 
-// Sink collects a stream's records and observes its end.
+// Sink observes a stream's end and counts its records. A sink built by
+// NewSink also stores them for Records; one built by NewCountSink stores
+// nothing, for kernels whose exit stream is only counted.
 type Sink struct {
-	name   string
-	in     *sim.Link
-	recs   []record.Rec
-	eos    bool
-	schema *record.Schema // lint:sharedstate-ok — schemas are immutable after construction
+	name      string
+	in        *sim.Link
+	recs      []record.Rec
+	n         int
+	countOnly bool
+	eos       bool
+	schema    *record.Schema // lint:sharedstate-ok — schemas are immutable after construction
 }
 
-// NewSink builds a sink on the given link.
+// NewSink builds a sink on the given link that stores every record.
 func NewSink(name string, in *sim.Link) *Sink {
 	return &Sink{name: name, in: in}
+}
+
+// NewCountSink builds a sink on the given link that only counts records:
+// Count works as for NewSink, Records returns nil.
+func NewCountSink(name string, in *sim.Link) *Sink {
+	return &Sink{name: name, in: in, countOnly: true}
 }
 
 // Name implements sim.Component.
@@ -93,7 +109,10 @@ func (s *Sink) Tick(cycle int64) {
 			s.eos = true
 			return
 		}
-		s.recs = f.Vec.AppendRecords(s.recs)
+		s.n += f.Vec.Count()
+		if !s.countOnly {
+			s.recs = f.Vec.AppendRecords(s.recs)
+		}
 	}
 }
 
@@ -113,7 +132,10 @@ func (s *Sink) TickBatch(cycle int64, n int) int {
 				s.eos = true
 				return total + i + 1
 			}
-			s.recs = blk[i].Vec.AppendRecords(s.recs)
+			s.n += blk[i].Vec.Count()
+			if !s.countOnly {
+				s.recs = blk[i].Vec.AppendRecords(s.recs)
+			}
 		}
 		s.in.DropBlock(len(blk))
 		total += len(blk)
@@ -121,11 +143,11 @@ func (s *Sink) TickBatch(cycle int64, n int) int {
 	return total
 }
 
-// Records returns everything collected so far.
+// Records returns everything collected so far; nil for a count-only sink.
 func (s *Sink) Records() []record.Rec { return s.recs }
 
-// Count returns the number of records collected.
-func (s *Sink) Count() int { return len(s.recs) }
+// Count returns the number of records that reached the sink.
+func (s *Sink) Count() int { return s.n }
 
 // Map is a compute tile statically configured with a per-record function:
 // one vector per cycle through a PipelineDepth-stage datapath. The function
