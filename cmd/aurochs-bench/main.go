@@ -10,7 +10,7 @@
 //	aurochs-bench                  # everything
 //	aurochs-bench -fig 11a         # one experiment
 //	aurochs-bench -fig 14 -scale bench
-//	aurochs-bench -json BENCH_2.json -quick   # serial-vs-parallel kernel perf
+//	aurochs-bench -json report.json -quick    # serial kernel throughput
 package main
 
 import (
@@ -29,12 +29,11 @@ func main() {
 	fig := flag.String("fig", "all", "experiment: 10, 11a, 11b, 12, 14, warp, ablation, table2, all")
 	scale := flag.String("scale", "small", "dataset scale for -fig 14: small | bench")
 	pipelines := flag.Int("p", 4, "Aurochs pipelines for query execution")
-	jsonOut := flag.String("json", "", "run the serial-vs-parallel kernel benchmark and write the report to this path")
+	jsonOut := flag.String("json", "", "run the serial kernel throughput benchmark and write the report to this path")
 	quick := flag.Bool("quick", false, "shrink -json benchmark datasets (CI-sized)")
-	parallel := flag.Int("parallel", 0, "worker goroutines for the -json benchmark's parallel runs (0 = auto mode up to GOMAXPROCS)")
-	rows := flag.String("rows", "", "with -json: run the rows-vs-throughput scaling sweep at these comma-separated row counts (k/m suffixes ok, e.g. 32k,128k,1m) instead of the kernel comparison")
+	rows := flag.String("rows", "", "with -json: run the rows-vs-throughput scaling sweep at these comma-separated row counts (k/m suffixes ok, e.g. 32k,128k,1m) instead of the fixed-size report")
 	compare := flag.String("compare", "", "after -json, gate the fresh report against this baseline report (fails on >10% serial cycles/sec regression)")
-	gate := flag.String("gate", "", "after -json: without -rows, require experiments to beat serial (name:minSpeedup pairs, skipped on single-core hosts); with -rows, require absolute serial floors (name@rows:minCyclesPerSec pairs, single-core safe)")
+	gate := flag.String("gate", "", "with -json and -rows: require absolute serial floors (name@rows:minCyclesPerSec pairs)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this path (go tool pprof)")
 	memprofile := flag.String("memprofile", "", "write an allocation profile at exit to this path (go tool pprof)")
 	flag.Parse()
@@ -64,6 +63,10 @@ func main() {
 		}()
 	}
 
+	if *gate != "" && (*jsonOut == "" || *rows == "") {
+		fmt.Fprintln(os.Stderr, "-gate needs -json and -rows")
+		os.Exit(2)
+	}
 	if *jsonOut != "" {
 		if *rows != "" {
 			counts, err := bench.ParseRows(*rows)
@@ -80,16 +83,11 @@ func main() {
 			}
 			return
 		}
-		if err := bench.Perf(*jsonOut, *quick, *parallel); err != nil {
+		if err := bench.Perf(*jsonOut, *quick); err != nil {
 			log.Fatal(err)
 		}
 		if *compare != "" {
 			if err := bench.Compare(*jsonOut, *compare, 0.10); err != nil {
-				log.Fatal(err)
-			}
-		}
-		if *gate != "" {
-			if err := bench.GateParallel(*jsonOut, *gate); err != nil {
 				log.Fatal(err)
 			}
 		}

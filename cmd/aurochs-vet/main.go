@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	go run ./cmd/aurochs-vet [-json] [-all] [-graphs] [-schemas] [-flow] [-fixture name] [-wake] [-allocs] [-phase] [packages]
+//	go run ./cmd/aurochs-vet [-json] [-all] [-graphs] [-schemas] [-flow] [-fixture name] [-wake] [-allocs] [packages]
 //
 // Packages default to ./... — directories are classified by path:
 //
@@ -39,14 +39,13 @@
 // "flowbad" fixture to prove the -flow gate still rejects, and at
 // "flowclean" to prove it still accepts.
 //
-// -wake adds the missed-wake prover (wakeprop), -allocs the hot-path
-// allocation prover (hotalloc), and -phase the barrier-phase confinement
-// prover (phaseconf) over the engine packages (internal/sim, fabric, spad,
-// ring, core) — see DESIGN.md §11 and §13. Reviewed sites carry
-// lint:wakeprop-ok / lint:hotalloc-ok / lint:phaseconf-ok markers and
-// surface as waived. -all enables every analyzer family at once
-// (-graphs -schemas -flow -wake -allocs -phase) — the CI gate, so a new
-// analyzer can never be silently left out of the pipeline.
+// -wake adds the missed-wake prover (wakeprop) and -allocs the hot-path
+// allocation prover (hotalloc) over the engine packages (internal/sim,
+// fabric, spad, ring, core) — see DESIGN.md §11. Reviewed sites carry
+// lint:wakeprop-ok / lint:hotalloc-ok markers and surface as waived. -all
+// enables every analyzer family at once (-graphs -schemas -flow -wake
+// -allocs) — the CI gate, so a new analyzer can never be silently left
+// out of the pipeline.
 //
 // Exit status is 1 when error-severity findings exist, 2 on usage or I/O
 // errors; warnings and waived findings are reported without failing the
@@ -112,9 +111,6 @@ type vetOptions struct {
 	// Allocs enables the static allocation prover (hotalloc) on the engine
 	// scope.
 	Allocs bool
-	// Phase enables the barrier-phase confinement prover (phaseconf) on the
-	// engine scope.
-	Phase bool
 }
 
 // analyzersFor maps a module-relative directory to the analyzers it must
@@ -146,9 +142,6 @@ func analyzersFor(rel string, opt vetOptions) []*analysis.Analyzer {
 		}
 		if opt.Allocs {
 			as = append(as, analysis.Hotalloc)
-		}
-		if opt.Phase {
-			as = append(as, analysis.Phaseconf)
 		}
 	}
 	return as
@@ -373,9 +366,6 @@ func enabledFamilies(opt vetOptions, gopt graphOptions, graphsOn, packagesOn boo
 		if opt.Allocs {
 			fams = append(fams, "hotalloc")
 		}
-		if opt.Phase {
-			fams = append(fams, "phaseconf")
-		}
 	}
 	if graphsOn {
 		fams = append(fams, "graphs")
@@ -408,17 +398,16 @@ func run() (int, error) {
 	fixture := flag.String("fixture", "", "vet only the named fixture from the blueprint fixture registry (graph analyzers only)")
 	wake := flag.Bool("wake", false, "run the missed-wake prover (wakeprop) over the engine packages")
 	allocs := flag.Bool("allocs", false, "run the static allocation prover (hotalloc) over the engine packages")
-	phase := flag.Bool("phase", false, "run the barrier-phase confinement prover (phaseconf) over the engine packages")
-	all := flag.Bool("all", false, "enable every analyzer family (-graphs -schemas -flow -wake -allocs -phase)")
+	all := flag.Bool("all", false, "enable every analyzer family (-graphs -schemas -flow -wake -allocs)")
 	flag.Parse()
 	if *all {
-		*graphs, *schemas, *flowFlag, *wake, *allocs, *phase = true, true, true, true, true, true
+		*graphs, *schemas, *flowFlag, *wake, *allocs = true, true, true, true, true
 	}
 	args := flag.Args()
 	if len(args) == 0 {
 		args = []string{"./..."}
 	}
-	opt := vetOptions{Wake: *wake, Allocs: *allocs, Phase: *phase}
+	opt := vetOptions{Wake: *wake, Allocs: *allocs}
 	gopt := graphOptions{Schemas: *schemas, Flow: *flowFlag, Fixture: *fixture}
 	graphsOn := *graphs || *schemas || *flowFlag || *fixture != ""
 	packagesOn := *fixture == "" // -fixture is a graph-only mode

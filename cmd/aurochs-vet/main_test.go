@@ -34,16 +34,13 @@ func TestAnalyzersFor(t *testing.T) {
 		// (blueprint, dram) never do.
 		{"internal/sim", vetOptions{Wake: true}, 5, "determinism", "wakeprop"},
 		{"internal/ring", vetOptions{Allocs: true}, 5, "determinism", "hotalloc"},
-		{"internal/sim", vetOptions{Phase: true}, 5, "determinism", "phaseconf"},
 		{"internal/core", vetOptions{Wake: true, Allocs: true}, 6, "determinism", "hotalloc"},
-		{"internal/core", vetOptions{Wake: true, Allocs: true, Phase: true}, 7, "determinism", "phaseconf"},
-		{"internal/blueprint", vetOptions{Wake: true, Allocs: true, Phase: true}, 4, "determinism", "orderdep"},
+		{"internal/blueprint", vetOptions{Wake: true, Allocs: true}, 4, "determinism", "orderdep"},
 		{"internal/dram", vetOptions{Wake: true, Allocs: true}, 4, "determinism", "orderdep"},
 		// Explicitly named fixture packages run the optional provers so the
 		// CI negative gates exercise the real analyzer path.
 		{"internal/analysis/testdata/src/wakebad", vetOptions{Wake: true}, 5, "determinism", "wakeprop"},
 		{"internal/analysis/testdata/src/allocbad", vetOptions{Allocs: true}, 5, "determinism", "hotalloc"},
-		{"internal/analysis/testdata/src/phasebad", vetOptions{Phase: true}, 5, "determinism", "phaseconf"},
 	}
 	for _, tc := range cases {
 		as := analyzersFor(tc.rel, tc.opt)
@@ -169,9 +166,8 @@ func TestJSONGolden(t *testing.T) {
 		filepath.Join("..", "..", "internal", "analysis", "testdata", "src", "orderbad"),
 		filepath.Join("..", "..", "internal", "analysis", "testdata", "src", "wakebad"),
 		filepath.Join("..", "..", "internal", "analysis", "testdata", "src", "allocbad"),
-		filepath.Join("..", "..", "internal", "analysis", "testdata", "src", "phasebad"),
 	}
-	src, err := vetPackages(fixtures, vetOptions{Wake: true, Allocs: true, Phase: true})
+	src, err := vetPackages(fixtures, vetOptions{Wake: true, Allocs: true})
 	if err != nil {
 		t.Fatal(err)
 	}

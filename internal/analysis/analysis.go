@@ -1,14 +1,14 @@
 // Package analysis is the type-checked static-analysis engine behind
 // cmd/aurochs-vet. It upgrades internal/lint's AST-only rules to analyzers
 // that see go/types information, which is what the two load-bearing
-// contracts of the parallel simulator kernel require:
+// contracts of the simulator kernel require:
 //
 //   - sharedstate: a component whose fields can alias mutable heap state
 //     reachable from another component must declare that state via
-//     SharedState(), or the kernel's union-find sharding silently loses the
-//     bit-identity guarantee (internal/sim/parallel.go);
+//     SharedState(), or the wake scheduler never learns that a partner's
+//     tick can change its Idle answer (internal/sim/wake.go);
 //   - tickpurity: the observation methods the kernel calls outside the
-//     owning worker's tick — Idle, CanPush, Done, Drained, Empty — must be
+//     component's own tick — Idle, CanPush, Done, Drained, Empty — must be
 //     observably pure, because the idle-skip and the commit-time credit
 //     recomputation assume repeated calls cannot change simulation state.
 //

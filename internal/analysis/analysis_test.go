@@ -226,74 +226,6 @@ func TestBatchCleanFixture(t *testing.T) {
 	}
 }
 
-// TestPhaseBadFixture: every seeded phase-discipline violation is caught —
-// the package-level write, the mixed plain/atomic field access, the
-// commit-field write, the parallel SetMeta, and the two parameter writes
-// (helper and go-literal) — and each message names the offending state.
-func TestPhaseBadFixture(t *testing.T) {
-	pkg := loadFixture(t, "phasebad")
-	fs := runAnalyzers(t, pkg, Phaseconf)
-	if got := countRule(fs, "phaseconf"); got != 6 {
-		t.Fatalf("phaseconf: got %d findings, want 6\n%v", got, fs)
-	}
-	for _, want := range []string{
-		"package-level", "accessed via sync/atomic", "commit-phase field commitSeq",
-		"SetMeta", "parameter p", "parameter res",
-	} {
-		found := false
-		for _, f := range fs {
-			if strings.Contains(f.Msg, want) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("no finding mentions %q:\n%v", want, fs)
-		}
-	}
-	for _, f := range fs {
-		if f.Severity == lint.SevWarning || f.Waived {
-			t.Errorf("phaseconf findings must be hard errors: %+v", f)
-		}
-	}
-}
-
-// TestPhaseCleanFixture: every discharge rule — receiver confinement, owned
-// locals, channel sends, mutex guards, the pointer-then-atomic idiom,
-// barrier-ordered plain access from commit/coordinator/unphased code, and
-// the reviewed parameter waiver — passes without findings.
-func TestPhaseCleanFixture(t *testing.T) {
-	pkg := loadFixture(t, "phaseclean")
-	if fs := runAnalyzers(t, pkg, Phaseconf); len(fs) != 0 {
-		t.Errorf("clean fixture flagged:\n%v", fs)
-	}
-}
-
-// TestRepoPhaseClean: the work-stealing kernel and every engine package it
-// schedules pass the barrier-phase prover — the in-repo half of the -phase
-// CI gate. A finding here is a cross-shard race, a mixed plain/atomic
-// access, or a parallel write to commit-only state in the shipped tree.
-func TestRepoPhaseClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks half the module; skipped in -short")
-	}
-	ld := NewLoader()
-	for _, dir := range []string{"sim", "fabric", "spad", "ring", "core"} {
-		pkg, err := ld.Load(filepath.Join("..", dir), "aurochs/internal/"+dir)
-		if err != nil {
-			t.Fatalf("%s: %v", dir, err)
-		}
-		if pkg.TypeError != nil {
-			t.Fatalf("%s failed to type-check: %v", dir, pkg.TypeError)
-		}
-		for _, f := range runAnalyzers(t, pkg, Phaseconf) {
-			if f.IsError() {
-				t.Errorf("internal/%s: %v", dir, f)
-			}
-		}
-	}
-}
-
 // TestDeterminismAdapter: the folded PR-1 rules report identically through
 // the driver — counts match the lint package's own fixture expectations.
 func TestDeterminismAdapter(t *testing.T) {
@@ -313,7 +245,7 @@ func TestDeterminismAdapter(t *testing.T) {
 
 // TestRepoComponentsAreClean: the shipped simulator packages satisfy both
 // contracts — this is the in-repo half of the CI gate. Everything flagged
-// here would be a real hole in the parallel kernel's safety argument.
+// here would be a real hole in the wake scheduler's safety argument.
 func TestRepoComponentsAreClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks half the module; skipped in -short")

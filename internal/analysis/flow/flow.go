@@ -1,7 +1,7 @@
 // Package flow is a token-flow abstract interpreter over fabric link
 // graphs: it tracks per-link token-count intervals and credit obligations
 // through an SCC condensation of the node graph (sim.StronglyConnected,
-// the shard planner's iterative Tarjan) and proves three properties —
+// an iterative Tarjan) and proves three properties —
 //
 //   - deadlock freedom: every directed credit cycle admits a schedule in
 //     which some link always has a free slot, because tokens provably

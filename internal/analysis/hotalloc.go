@@ -20,7 +20,7 @@ const HotallocWaiver = "lint:hotalloc-ok"
 // doc comment. Tick methods on component types and Push/Pop-family methods
 // on link- or queue-shaped types are roots implicitly; the marker exists for
 // the per-cycle loops the shape rules cannot see (the wake scheduler's
-// stepSerial/stepParallel, link commit).
+// step, link commit).
 const HotPathMarker = "hot:path"
 
 // hotOpNames are the implicit hot-path root methods on types with a

@@ -12,14 +12,13 @@ import (
 // of the run (e.g. a read-only index snapshot walked by several nodes).
 const SharedStateWaiver = "lint:sharedstate-ok"
 
-// SharedState enforces the parallel kernel's sharding contract: a simulator
+// SharedState enforces the wake scheduler's partner contract: a simulator
 // component (any type with Name/Tick/Done methods) holding a reference that
 // can alias mutable heap state created outside the component — a *dram.HBM,
 // a shared scratchpad Mem, a LoopCtl, a shared map — must surface that
-// reference through SharedState(), or the union-find scheduler in
-// internal/sim/parallel.go may place two components mutating the same
-// memory on different workers and the serial/parallel bit-identity
-// guarantee is silently gone.
+// reference through SharedState(), or the scheduler in internal/sim/wake.go
+// can leave it asleep while a partner mutates that state, and the run
+// silently diverges from the polling kernel.
 //
 // A field is suspect when both hold:
 //
@@ -157,7 +156,7 @@ func checkComponentSharing(pass *Pass, comp component, ext *originAnalysis) {
 			where := pass.Fset.Position(assign)
 			pass.Reportf(name.Pos(),
 				"component %s field %s can alias mutable shared state (%s) assigned from outside the component at %s:%d; "+
-					"declare it in SharedState() so the parallel kernel serializes its sharers, or mark the field %s if the state is immutable",
+					"declare it in SharedState() so the wake scheduler wakes its sharers, or mark the field %s if the state is immutable",
 				comp.named.Obj().Name(), name.Name, unsafeDesc,
 				trimPath(where.Filename), where.Line, SharedStateWaiver)
 		}

@@ -51,7 +51,7 @@ func (w *Walker) Done() bool {
 }
 
 // Idle is impure: it counts its own calls, which the idle-skip would turn
-// into divergent state between serial and parallel runs.
+// into divergent state between skipping and polling runs.
 func (w *Walker) Idle(cycle int64) bool {
 	w.calls++
 	return w.pos > 5

@@ -5,286 +5,96 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
-	"strings"
 	"time"
-
-	"aurochs/internal/core"
-	"aurochs/internal/record"
-	"aurochs/internal/sim"
 )
 
-// PerfRun is one timed kernel execution in one kernel configuration.
+// PerfRun is one timed serial kernel execution.
 type PerfRun struct {
-	// WorkersRequested is the worker count handed to the simulator
-	// (negative = auto mode with that cap); WorkersResolved is what the run
-	// actually used after auto-mode selection (1 = the serial kernel). Both
-	// are recorded so a report can never again present the raw auto-mode
-	// sentinel as if it were the execution width.
-	WorkersRequested int `json:"workers_requested"`
-	WorkersResolved  int `json:"workers_resolved"`
-	// GOMAXPROCS is the host parallelism this run executed under.
-	GOMAXPROCS   int     `json:"gomaxprocs"`
 	Cycles       int64   `json:"cycles"`
 	DRAMBytes    int64   `json:"dram_bytes"`
 	WallSeconds  float64 `json:"wall_seconds"`
 	CyclesPerSec float64 `json:"cycles_per_sec"`
-	// Kernel is the simulator's full kernel decision for this run:
-	// fallback reason (if any) plus the stage/lane shard shape it was
-	// decided on — the explanation behind every fallback verdict.
-	Kernel sim.KernelDecision `json:"kernel"`
 }
 
-// PerfExperiment compares the serial and parallel simulator kernels on one
-// workload. Identical is the bit-identity check: same cycle count, same
-// DRAM traffic, same output records.
+// PerfExperiment is one workload's serial-throughput measurement. The
+// "serial" key is the one every committed BENCH_*.json report uses, so old
+// baselines still decode.
 type PerfExperiment struct {
-	Name     string  `json:"name"`
-	Rows     int     `json:"rows"`
-	Serial   PerfRun `json:"serial"`
-	Parallel PerfRun `json:"parallel"`
-	// Fallback records that auto mode declined the parallel kernel; the
-	// parallel row then re-measures the serial kernel and Speedup is pinned
-	// at 1.0 rather than reporting run-to-run noise as a regression.
-	// FallbackReason names why (sim.Fallback* codes) — a fallback is never
-	// silent.
-	Fallback       bool   `json:"fallback"`
-	FallbackReason string `json:"fallback_reason,omitempty"`
-	// SingleCoreHost is the loud marker that this host could never have
-	// shown a speedup: the parallel verdict is about the machine, not the
-	// kernel. Gates must not treat such a row as a parallelism regression.
-	SingleCoreHost bool    `json:"single_core_host,omitempty"`
-	Identical      bool    `json:"identical"`
-	Speedup        float64 `json:"speedup"`
+	Name   string  `json:"name"`
+	Rows   int     `json:"rows"`
+	Serial PerfRun `json:"serial"`
 }
 
 // PerfReport is the top-level benchmark document (BENCH_*.json).
 type PerfReport struct {
-	Benchmark string `json:"benchmark"`
-	// GOMAXPROCS is the Go runtime parallelism the benchmark ran with —
-	// set to NumCPU by Perf, so the parallel side is never silently pinned
-	// to one core by an inherited environment.
-	GOMAXPROCS int `json:"gomaxprocs"`
-	// NumCPU is the host's visible CPU count.
-	NumCPU int `json:"num_cpu"`
-	// SingleCoreHost marks a host that cannot demonstrate any speedup; all
-	// parallel verdicts in this report are machine-limited.
-	SingleCoreHost bool             `json:"single_core_host"`
-	Quick          bool             `json:"quick"`
-	Experiments    []PerfExperiment `json:"experiments"`
+	Benchmark   string           `json:"benchmark"`
+	GOMAXPROCS  int              `json:"gomaxprocs"`
+	NumCPU      int              `json:"num_cpu"`
+	Quick       bool             `json:"quick"`
+	Experiments []PerfExperiment `json:"experiments"`
 }
 
-// timedKernel runs fn once and reports wall clock plus simulated
-// throughput. fn returns the kernel Result and an output fingerprint.
-func timedKernel(workers int, fn func(workers int) (core.Result, []record.Rec, error)) (PerfRun, []record.Rec, error) {
-	start := time.Now()
-	res, out, err := fn(workers)
-	wall := time.Since(start).Seconds()
-	if err != nil {
-		return PerfRun{}, nil, err
-	}
-	r := PerfRun{WorkersRequested: workers, WorkersResolved: res.Workers,
-		GOMAXPROCS: runtime.GOMAXPROCS(0), Cycles: res.Cycles,
-		DRAMBytes: res.DRAMBytes, WallSeconds: wall, Kernel: res.Kernel}
-	if wall > 0 {
-		r.CyclesPerSec = float64(res.Cycles) / wall
-	}
-	return r, out, nil
+// perfRows is each swept kernel's dataset size in the -json report. The
+// sizes are BENCH_3's, so -compare against it measures the same work.
+var perfRows = map[string]int{
+	"fig11a-hashjoin-p16": 1 << 15,
+	"hash-aggregate":      1 << 16,
+	"partition-8way":      1 << 16,
 }
 
-func sameOutput(a, b []record.Rec) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// perfExperiment runs fn serially and with the requested parallel worker
-// count (negative = auto) and packages the comparison. The serial run is
-// the correctness reference; the parallel run must reproduce it
-// bit-for-bit.
-func perfExperiment(name string, rows, workers int, fn func(workers int) (core.Result, []record.Rec, error)) (PerfExperiment, error) {
-	serial, sOut, err := timedKernel(1, fn)
-	if err != nil {
-		return PerfExperiment{}, fmt.Errorf("%s serial: %w", name, err)
-	}
-	par, pOut, err := timedKernel(workers, fn)
-	if err != nil {
-		return PerfExperiment{}, fmt.Errorf("%s parallel: %w", name, err)
-	}
-	e := PerfExperiment{
-		Name:           name,
-		Rows:           rows,
-		Serial:         serial,
-		Parallel:       par,
-		Fallback:       par.WorkersResolved <= 1,
-		FallbackReason: par.Kernel.Fallback,
-		SingleCoreHost: runtime.NumCPU() < 2,
-		Identical:      serial.Cycles == par.Cycles && serial.DRAMBytes == par.DRAMBytes && sameOutput(sOut, pOut),
-	}
-	switch {
-	case e.Fallback:
-		e.Speedup = 1.0
-	case serial.WallSeconds > 0 && par.WallSeconds > 0:
-		e.Speedup = serial.WallSeconds / par.WallSeconds
-	}
-	return e, nil
-}
-
-// Perf runs the serial-vs-parallel kernel benchmark and writes the report to
-// jsonPath (and a human summary to stdout). quick shrinks the datasets for
-// CI. workers selects the parallel runs' request: positive pins a count,
-// <= 0 requests auto mode up to GOMAXPROCS (the kernel falls back to serial
-// when the topology cannot profit; the report carries the reason instead of
-// presenting two serial timings as a speedup).
-//
-// Perf raises GOMAXPROCS to NumCPU before measuring: the whole point of the
-// parallel rows is to measure host parallelism, and an inherited
-// GOMAXPROCS=1 (the BENCH_3 bug) predetermines every verdict as a silent
-// fallback. A genuinely single-core host is flagged loudly instead.
-func Perf(jsonPath string, quick bool, workers int) error {
-	if ncpu := runtime.NumCPU(); runtime.GOMAXPROCS(0) < ncpu {
-		prev := runtime.GOMAXPROCS(ncpu)
-		fmt.Printf("bench: raising GOMAXPROCS %d -> %d (NumCPU)\n", prev, ncpu)
-	}
-	req := workers
-	if req <= 0 {
-		req = -runtime.GOMAXPROCS(0)
-		if req > -2 {
-			req = -2 // still resolve through auto mode on one CPU
-		}
-	}
+// Perf times every swept kernel once at its perfRows size and writes the
+// report to jsonPath (and a human summary to stdout). quick shrinks the
+// datasets 4x for CI.
+func Perf(jsonPath string, quick bool) error {
 	rep := PerfReport{
-		Benchmark:      "aurochs-sim serial vs parallel kernel",
-		GOMAXPROCS:     runtime.GOMAXPROCS(0),
-		NumCPU:         runtime.NumCPU(),
-		SingleCoreHost: runtime.NumCPU() < 2,
-		Quick:          quick,
+		Benchmark:  "aurochs-sim serial kernel throughput",
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		Quick:      quick,
 	}
-	if rep.SingleCoreHost {
-		fmt.Println("bench: SINGLE-CORE HOST — parallel verdicts below are machine-limited, not kernel verdicts")
-	}
-
-	joinN := 1 << 15
-	aggN := 1 << 16
-	partN := 1 << 16
-	if quick {
-		joinN = 1 << 13
-		aggN = 1 << 14
-		partN = 1 << 14
-	}
-
-	// Fig. 11a join shape at the paper's "when parallelized" pipeline count:
-	// this is the experiment the acceptance speedup is measured on.
-	join, err := perfExperiment("fig11a-hashjoin-p16", joinN, req, func(w int) (core.Result, []record.Rec, error) {
-		matches, res, err := core.HashJoin(nil, mkKV(joinN, 1), mkKV(joinN, 2), core.HashJoinOptions{
-			Pipelines: 16,
-			Tuning:    core.Tuning{Parallelism: w},
-		})
-		if err != nil {
-			return core.Result{}, nil, err
+	fmt.Printf("== serial kernel throughput (GOMAXPROCS=%d, NumCPU=%d) ==\n", rep.GOMAXPROCS, rep.NumCPU)
+	for _, k := range sweepKernels() {
+		rows := perfRows[k.name]
+		if quick {
+			rows /= 4
 		}
-		return res, matches, nil
-	})
+		start := time.Now()
+		res, err := k.run(rows)
+		wall := time.Since(start).Seconds()
+		if err != nil {
+			return fmt.Errorf("%s: %w", k.name, err)
+		}
+		run := PerfRun{Cycles: res.Cycles, DRAMBytes: res.DRAMBytes, WallSeconds: wall}
+		if wall > 0 {
+			run.CyclesPerSec = float64(res.Cycles) / wall
+		}
+		rep.Experiments = append(rep.Experiments, PerfExperiment{Name: k.name, Rows: rows, Serial: run})
+		fmt.Printf("%-22s rows=%-7d %.2fs (%.0f cyc/s)\n", k.name, rows, run.WallSeconds, run.CyclesPerSec)
+	}
+	return writeJSON(jsonPath, rep)
+}
+
+// writeJSON writes a report as indented JSON to path; an empty path skips
+// the write.
+func writeJSON(path string, rep any) error {
+	if path == "" {
+		return nil
+	}
+	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		return err
 	}
-	rep.Experiments = append(rep.Experiments, join)
-
-	agg, err := perfExperiment("hash-aggregate", aggN, req, func(w int) (core.Result, []record.Rec, error) {
-		keys := make([]uint32, aggN)
-		for i := range keys {
-			keys[i] = uint32(i % 997)
-		}
-		p := core.DefaultHashTableParams(1024)
-		p.Tuning = core.Tuning{Parallelism: w}
-		res, rres, err := core.HashAggregate(p, keys, nil)
-		if err != nil {
-			return core.Result{}, nil, err
-		}
-		// Fingerprint the group counts deterministically.
-		groups := res.Groups()
-		out := make([]record.Rec, 0, len(groups))
-		for k := uint32(0); k < 997; k++ {
-			if c, ok := groups[k]; ok {
-				out = append(out, record.Make(k, uint32(c)))
-			}
-		}
-		return rres, out, nil
-	})
-	if err != nil {
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	rep.Experiments = append(rep.Experiments, agg)
-
-	part, err := perfExperiment("partition-8way", partN, req, func(w int) (core.Result, []record.Rec, error) {
-		p := core.DefaultPartitionParams(partN, 8, 2)
-		p.Tuning = core.Tuning{Parallelism: w}
-		ps, res, err := core.Partition(p, mkKV(partN, 9), nil)
-		if err != nil {
-			return core.Result{}, nil, err
-		}
-		var out []record.Rec
-		for pt := uint32(0); pt < 8; pt++ {
-			out = append(out, ps.ReadPartition(pt)...)
-		}
-		return res, out, nil
-	})
-	if err != nil {
-		return err
-	}
-	rep.Experiments = append(rep.Experiments, part)
-
-	fmt.Printf("== serial vs parallel kernel (request=%d, GOMAXPROCS=%d, NumCPU=%d) ==\n",
-		req, rep.GOMAXPROCS, rep.NumCPU)
-	for _, e := range rep.Experiments {
-		status := "IDENTICAL"
-		if !e.Identical {
-			status = "MISMATCH"
-		}
-		if e.Fallback {
-			reason := e.FallbackReason
-			if reason == "" {
-				reason = "unexplained"
-			}
-			status += fmt.Sprintf(" (serial fallback: %s)", reason)
-		}
-		if e.SingleCoreHost {
-			status += " [SINGLE-CORE HOST]"
-		}
-		fmt.Printf("%-22s rows=%-7d serial %.2fs (%.0f cyc/s)  parallel[%d] %.2fs (%.0f cyc/s)  speedup %.2fx  shards=%d stages=%d lanes=%d  %s\n",
-			e.Name, e.Rows, e.Serial.WallSeconds, e.Serial.CyclesPerSec,
-			e.Parallel.WorkersResolved, e.Parallel.WallSeconds, e.Parallel.CyclesPerSec, e.Speedup,
-			e.Parallel.Kernel.Shards, e.Parallel.Kernel.Stages, e.Parallel.Kernel.MaxLanes, status)
-		if !e.Identical {
-			return fmt.Errorf("%s: parallel kernel diverged from serial (cycles %d vs %d, bytes %d vs %d)",
-				e.Name, e.Parallel.Cycles, e.Serial.Cycles, e.Parallel.DRAMBytes, e.Serial.DRAMBytes)
-		}
-	}
-
-	if jsonPath != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", jsonPath)
-	}
+	fmt.Printf("wrote %s\n", path)
 	return nil
 }
 
 // Compare gates a fresh perf report against a committed baseline: any
 // experiment present in both whose serial cycles/sec fell below
-// (1-tolerance) of the baseline fails, as does a lost bit-identity or a
-// parallel speedup sinking below 1.0 without a declared fallback. Extra or
-// missing experiments are reported but do not fail (benchmarks evolve).
+// (1-tolerance) of the baseline fails. Extra or missing experiments are
+// reported but do not fail (benchmarks evolve).
 func Compare(newPath, basePath string, tolerance float64) error {
 	load := func(p string) (PerfReport, error) {
 		var r PerfReport
@@ -308,12 +118,6 @@ func Compare(newPath, basePath string, tolerance float64) error {
 	}
 	var failures []string
 	for _, e := range cur.Experiments {
-		if !e.Identical {
-			failures = append(failures, fmt.Sprintf("%s: parallel kernel not bit-identical", e.Name))
-		}
-		if !e.Fallback && e.Speedup < 1.0 {
-			failures = append(failures, fmt.Sprintf("%s: parallel speedup %.2fx < 1.0 without fallback", e.Name, e.Speedup))
-		}
 		b, ok := baseBy[e.Name]
 		if !ok {
 			fmt.Printf("compare: %s has no baseline entry (new experiment)\n", e.Name)
@@ -337,75 +141,5 @@ func Compare(newPath, basePath string, tolerance float64) error {
 		return fmt.Errorf("compare: %d regression(s) vs %s", len(failures), basePath)
 	}
 	fmt.Printf("compare: no regressions vs %s\n", basePath)
-	return nil
-}
-
-// GateParallel enforces that named experiments in a report actually engaged
-// the parallel kernel and won. spec is a comma-separated list of
-// "experiment:minSpeedup" requirements (e.g. "fig11a-hashjoin-p16:1.2").
-// Any listed experiment with fallback: true, a missing entry, or a speedup
-// below its floor fails the gate — unless the report was produced on a
-// single-core host, in which case the gate reports that loudly and passes
-// vacuously (the host, not the kernel, is what cannot show a speedup).
-func GateParallel(path, spec string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("gate: %w", err)
-	}
-	var rep PerfReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return fmt.Errorf("gate: %w", err)
-	}
-	if rep.SingleCoreHost {
-		fmt.Printf("gate: SKIPPED — %s was produced on a single-core host (num_cpu=%d); no speedup is measurable here\n",
-			path, rep.NumCPU)
-		return nil
-	}
-	byName := make(map[string]PerfExperiment, len(rep.Experiments))
-	for _, e := range rep.Experiments {
-		byName[e.Name] = e
-	}
-	var failures []string
-	for _, req := range strings.Split(spec, ",") {
-		req = strings.TrimSpace(req)
-		if req == "" {
-			continue
-		}
-		name, floorStr, found := strings.Cut(req, ":")
-		floor := 1.0
-		if found {
-			f, err := strconv.ParseFloat(floorStr, 64)
-			if err != nil {
-				return fmt.Errorf("gate: bad requirement %q: %w", req, err)
-			}
-			floor = f
-		}
-		e, ok := byName[name]
-		if !ok {
-			failures = append(failures, fmt.Sprintf("%s: experiment missing from %s", name, path))
-			continue
-		}
-		switch {
-		case e.Fallback:
-			reason := e.FallbackReason
-			if reason == "" {
-				reason = "unexplained"
-			}
-			failures = append(failures, fmt.Sprintf("%s: parallel kernel fell back to serial (%s) on a multi-core host", name, reason))
-		case !e.Identical:
-			failures = append(failures, fmt.Sprintf("%s: parallel kernel not bit-identical", name))
-		case e.Speedup < floor:
-			failures = append(failures, fmt.Sprintf("%s: speedup %.2fx below required %.2fx (workers=%d, shards=%d, stages=%d)",
-				name, e.Speedup, floor, e.Parallel.WorkersResolved, e.Parallel.Kernel.Shards, e.Parallel.Kernel.Stages))
-		default:
-			fmt.Printf("gate: %-22s ok — speedup %.2fx >= %.2fx on %d workers\n", name, e.Speedup, floor, e.Parallel.WorkersResolved)
-		}
-	}
-	if len(failures) > 0 {
-		for _, f := range failures {
-			fmt.Fprintf(os.Stderr, "FAIL %s\n", f)
-		}
-		return fmt.Errorf("gate: %d parallel-kernel requirement(s) unmet in %s", len(failures), path)
-	}
 	return nil
 }

@@ -59,10 +59,7 @@ func sweepKernels() []struct {
 		run  func(rows int) (core.Result, error)
 	}{
 		{"fig11a-hashjoin-p16", func(rows int) (core.Result, error) {
-			_, res, err := core.HashJoin(nil, mkKV(rows, 1), mkKV(rows, 2), core.HashJoinOptions{
-				Pipelines: 16,
-				Tuning:    core.Tuning{Parallelism: 1},
-			})
+			_, res, err := core.HashJoin(nil, mkKV(rows, 1), mkKV(rows, 2), core.HashJoinOptions{Pipelines: 16})
 			return res, err
 		}},
 		{"hash-aggregate", func(rows int) (core.Result, error) {
@@ -71,13 +68,11 @@ func sweepKernels() []struct {
 				keys[i] = uint32(i % 997)
 			}
 			p := core.DefaultHashTableParams(1024)
-			p.Tuning = core.Tuning{Parallelism: 1}
 			_, res, err := core.HashAggregate(p, keys, nil)
 			return res, err
 		}},
 		{"partition-8way", func(rows int) (core.Result, error) {
 			p := core.DefaultPartitionParams(rows, 8, 2)
-			p.Tuning = core.Tuning{Parallelism: 1}
 			_, res, err := core.Partition(p, mkKV(rows, 9), nil)
 			return res, err
 		}},
@@ -153,26 +148,14 @@ func Sweep(jsonPath string, rows []int, quick bool) error {
 		}
 		rep.Experiments = append(rep.Experiments, exp)
 	}
-	if jsonPath != "" {
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", jsonPath)
-	}
-	return nil
+	return writeJSON(jsonPath, rep)
 }
 
 // GateSerialFloor enforces absolute serial-throughput floors on a sweep
 // report. spec is comma-separated "experiment@rows:minCyclesPerSec"
 // requirements (row counts accept the k/m suffixes of -rows), e.g.
-// "fig11a-hashjoin-p16@32k:30000". Unlike GateParallel this gate measures
-// the serial kernel only, so it holds on single-core CI runners — there is
-// no host-parallelism escape hatch, which is the point: it pins the
-// simulator's absolute speed, not a speedup ratio.
+// "fig11a-hashjoin-p16@32k:30000". It pins the simulator's absolute
+// speed, so it holds on single-core CI runners.
 func GateSerialFloor(path, spec string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {

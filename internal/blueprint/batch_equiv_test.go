@@ -19,19 +19,18 @@ type batchFingerprint struct {
 	sinks  [][]record.Rec
 }
 
-// runBlueprint builds a fresh instance and runs it with the given kernel
-// selection, returning the execution fingerprint.
-func runBlueprint(t *testing.T, bp Blueprint, workers int, noBatch bool) batchFingerprint {
+// runBlueprint builds a fresh instance and runs it on the batch or the
+// scalar tick path, returning the execution fingerprint.
+func runBlueprint(t *testing.T, bp Blueprint, noBatch bool) batchFingerprint {
 	t.Helper()
 	g, err := bp.Build()
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	g.Workers = workers
 	g.NoBatch = noBatch
 	cycles, err := g.Run(2_000_000)
 	if err != nil {
-		t.Fatalf("workers=%d noBatch=%v: %v", workers, noBatch, err)
+		t.Fatalf("noBatch=%v: %v", noBatch, err)
 	}
 	fp := batchFingerprint{cycles: cycles, stats: g.Stats().String()}
 	if g.HBM != nil {
@@ -88,25 +87,15 @@ func diffFingerprints(t *testing.T, label string, ref, got batchFingerprint) {
 // every registered blueprint, batch execution (TickBatch offers plus the
 // block transport underneath) must be observably identical to the scalar
 // tick path — same cycles, same stats, same DRAM traffic, same per-link
-// flit totals, same sink records — on the serial kernel and at 2, 3, 4,
-// and 8 workers. CI runs this under -race with AUROCHS_WORKERS forcing the
-// parallel kernel, which also makes it a determinism stress for the batch
-// offer sites. A failure means some TickBatch implementation exceeded its
-// scalar Tick's observable effects (see sim/batch.go for the contract).
+// flit totals, same sink records. A failure means some TickBatch
+// implementation exceeded its scalar Tick's observable effects (see
+// sim/batch.go for the contract).
 func TestBatchScalarEquivalence(t *testing.T) {
 	for _, bp := range All() {
 		bp := bp
 		t.Run(bp.Name, func(t *testing.T) {
-			ref := runBlueprint(t, bp, 0, true) // scalar reference, serial kernel
-			diffFingerprints(t, "serial+batch", ref, runBlueprint(t, bp, 0, false))
-			for _, w := range []int{2, 3, 4, 8} {
-				diffFingerprints(t, fmt.Sprintf("workers=%d+batch", w), ref,
-					runBlueprint(t, bp, w, false))
-				// The scalar path must also stay worker-count invariant, so a
-				// batch bug can never hide behind a parallel-kernel bug.
-				diffFingerprints(t, fmt.Sprintf("workers=%d+scalar", w), ref,
-					runBlueprint(t, bp, w, true))
-			}
+			ref := runBlueprint(t, bp, true) // scalar reference
+			diffFingerprints(t, "batch", ref, runBlueprint(t, bp, false))
 		})
 	}
 }

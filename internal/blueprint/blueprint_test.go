@@ -11,6 +11,7 @@ import (
 	"aurochs/internal/analysis/flow"
 	"aurochs/internal/fabric"
 	"aurochs/internal/record"
+	"aurochs/internal/sim"
 )
 
 // TestAllBlueprintsProveClean is the acceptance gate for the static
@@ -76,61 +77,64 @@ func TestBlueprintBuildsAreIndependent(t *testing.T) {
 	}
 }
 
-// TestBlueprintStagePlans: every registered topology decomposes into a
-// deterministic two-level (stage x lane) shard plan that covers each
-// component exactly once; rebuilding a blueprint reproduces the identical
-// plan shape (the planner never consults map iteration order). The test
-// also reports each plan's balance so a blueprint whose parallel shape
-// degenerates (one atom swallowing the graph) shows up in -v output with
-// the numbers auto mode will quote when it falls back.
+// TestBlueprintStagePlans: every registered topology condenses into a
+// deterministic stage order — the SCC condensation Graph.Check and the
+// token-flow prover walk. Each component lands in exactly one stage, every
+// link points from a stage to the same or a lower-numbered one (reverse
+// topological order), and rebuilding the blueprint reproduces the identical
+// assignment (the condensation never consults map iteration order). The
+// -v output reports each topology's stage count and largest stage.
 func TestBlueprintStagePlans(t *testing.T) {
 	for _, bp := range All() {
 		bp := bp
 		t.Run(bp.Name, func(t *testing.T) {
-			g, err := bp.Build()
-			if err != nil {
-				t.Fatalf("build: %v", err)
-			}
-			plan := g.StagePlan()
-			n := 0
-			for _, sh := range plan.Shards {
-				n += len(sh)
-			}
-			comps := len(g.Sys.Components())
-			if n != comps {
-				t.Fatalf("plan covers %d of %d components", n, comps)
-			}
-			if len(plan.CompStage) != comps {
-				t.Fatalf("CompStage has %d entries for %d components", len(plan.CompStage), comps)
-			}
-			if plan.Stages < 1 || plan.MaxLanes < 1 {
-				t.Fatalf("degenerate plan: %d stages, %d lanes", plan.Stages, plan.MaxLanes)
-			}
-			// Determinism across rebuilds: same shard membership, stage by stage.
-			g2, err := bp.Build()
-			if err != nil {
-				t.Fatalf("rebuild: %v", err)
-			}
-			plan2 := g2.StagePlan()
-			if len(plan2.Shards) != len(plan.Shards) || plan2.Stages != plan.Stages ||
-				plan2.MaxLanes != plan.MaxLanes || plan2.Largest != plan.Largest {
-				t.Fatalf("rebuild changed the plan shape: %d/%d/%d/%d vs %d/%d/%d/%d",
-					len(plan.Shards), plan.Stages, plan.MaxLanes, plan.Largest,
-					len(plan2.Shards), plan2.Stages, plan2.MaxLanes, plan2.Largest)
-			}
-			for i := range plan.Shards {
-				if len(plan.Shards[i]) != len(plan2.Shards[i]) {
-					t.Fatalf("rebuild changed shard %d membership", i)
+			stages := func() ([]int32, int, *flow.Net) {
+				g, err := bp.Build()
+				if err != nil {
+					t.Fatalf("build: %v", err)
 				}
-				for j := range plan.Shards[i] {
-					if plan.Shards[i][j] != plan2.Shards[i][j] {
-						t.Fatalf("rebuild changed shard %d member %d", i, j)
-					}
+				net := g.FlowNet()
+				adj := make([][]int32, len(net.Nodes))
+				for _, e := range net.Edges {
+					adj[e.From] = append(adj[e.From], int32(e.To))
+				}
+				of, count := sim.StronglyConnected(adj)
+				return of, count, net
+			}
+			of, count, net := stages()
+			comps := len(net.Nodes)
+			if comps == 0 || count < 1 || count > comps {
+				t.Fatalf("degenerate condensation: %d stages for %d components", count, comps)
+			}
+			if len(of) != comps {
+				t.Fatalf("condensation covers %d of %d components", len(of), comps)
+			}
+			size := make([]int, count)
+			for i, c := range of {
+				if c < 0 || int(c) >= count {
+					t.Fatalf("component %s in stage %d of %d", net.Nodes[i].Name, c, count)
+				}
+				size[c]++
+			}
+			for _, e := range net.Edges {
+				if of[e.From] < of[e.To] {
+					t.Fatalf("link %s runs from stage %d up to stage %d", e.Name, of[e.From], of[e.To])
 				}
 			}
-			t.Logf("%s: %d comps, %d shards, %d stages, %d lanes, largest %d (%.0f%%)",
-				bp.Name, comps, len(plan.Shards), plan.Stages, plan.MaxLanes,
-				plan.Largest, plan.LargestShare()*100)
+			of2, count2, _ := stages()
+			if count2 != count || len(of2) != len(of) {
+				t.Fatalf("rebuild changed the stage count: %d vs %d", count, count2)
+			}
+			for i := range of {
+				if of[i] != of2[i] {
+					t.Fatalf("rebuild moved component %s from stage %d to %d", net.Nodes[i].Name, of[i], of2[i])
+				}
+			}
+			largest := 0
+			for _, n := range size {
+				largest = max(largest, n)
+			}
+			t.Logf("%s: %d comps, %d stages, largest %d", bp.Name, comps, count, largest)
 		})
 	}
 }

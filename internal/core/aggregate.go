@@ -77,7 +77,6 @@ func HashAggregate(p HashTableParams, keys []uint32, hbm *dram.HBM) (*AggResult,
 	}
 	g := fabric.NewGraph()
 	g.AttachHBM(hbm)
-	g.Workers = p.Tuning.Parallelism
 
 	heads := spad.NewMem(16, int(p.Buckets+15)/16, 0)
 	heads.Fill(Nil)

@@ -79,7 +79,6 @@ func HashJoin(hbm *dram.HBM, buildSide, probeSide []record.Rec, opt HashJoinOpti
 	partitionSide := func(side string, recs []record.Rec, arenaOff uint32) ([]*PartitionSet, error) {
 		g := fabric.NewGraph()
 		g.AttachHBM(hbm)
-		g.Workers = opt.Tuning.Parallelism
 		groups := split(recs)
 		sets := make([]*PartitionSet, P)
 		sinks := make([]*fabric.Sink, P)
@@ -129,7 +128,6 @@ func HashJoin(hbm *dram.HBM, buildSide, probeSide []record.Rec, opt HashJoinOpti
 		// Build round.
 		gb := fabric.NewGraph()
 		gb.AttachHBM(hbm)
-		gb.Workers = opt.Tuning.Parallelism
 		tables := make([]*HashTable, P)
 		bsinks := make([]*fabric.Sink, P)
 		counts := make([]int, P)
@@ -160,7 +158,6 @@ func HashJoin(hbm *dram.HBM, buildSide, probeSide []record.Rec, opt HashJoinOpti
 		// Probe round.
 		gp := fabric.NewGraph()
 		gp.AttachHBM(hbm)
-		gp.Workers = opt.Tuning.Parallelism
 		psinks := make([]*fabric.Sink, P)
 		pn := 0
 		for k := 0; k < P; k++ {

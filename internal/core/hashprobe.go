@@ -49,7 +49,6 @@ type ProbeOptions struct {
 func ProbeHashTable(ht *HashTable, probes []record.Rec, opt ProbeOptions) ([]record.Rec, Result, error) {
 	g := fabric.NewGraph()
 	g.AttachHBM(ht.HBM)
-	g.Workers = ht.Params.Tuning.Parallelism
 	snk := ProbeHashTableInto(g, "prb", ht, InRecs(probes), opt)
 	res, err := runGraph(g, budgetFor(len(probes)))
 	if err != nil {

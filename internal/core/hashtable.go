@@ -248,7 +248,6 @@ func BuildHashTable(p HashTableParams, input []record.Rec, hbm *dram.HBM) (*Hash
 	}
 	g := fabric.NewGraph()
 	g.AttachHBM(hbm)
-	g.Workers = p.Tuning.Parallelism
 	ht, snk, err := BuildHashTableInto(g, "bld", p, InRecs(input))
 	if err != nil {
 		return nil, Result{}, err
@@ -307,7 +306,6 @@ func InsertHashTable(ht *HashTable, input []record.Rec) (Result, error) {
 	}
 	g := fabric.NewGraph()
 	g.AttachHBM(ht.HBM)
-	g.Workers = ht.Params.Tuning.Parallelism
 	snk := buildPipeline(g, "ins", ht, InRecs(input))
 	res, err := runGraph(g, budgetFor(len(input)))
 	if err != nil {

@@ -164,7 +164,6 @@ func Partition(p PartitionParams, input []record.Rec, hbm *dram.HBM) (*Partition
 	}
 	g := fabric.NewGraph()
 	g.AttachHBM(hbm)
-	g.Workers = p.Tuning.Parallelism
 	ps, snk, err := PartitionInto(g, "prt", p, InRecs(input))
 	if err != nil {
 		return nil, Result{}, err

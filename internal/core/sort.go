@@ -200,12 +200,7 @@ func SortAt(hbm *dram.HBM, in SortedRun, key fabric.KeyFn, scratchA, scratchB ui
 func accumulate(total *Result, r Result) {
 	total.Cycles += r.Cycles
 	total.DRAMBytes += r.DRAMBytes
-	if r.Workers > total.Workers {
-		total.Workers = r.Workers // report the widest phase
-	}
-	if r.Kernel.Components > total.Kernel.Components {
-		total.Kernel = r.Kernel // report the dominant (largest-census) phase
-	}
+	total.Workers = 1
 	if total.Stats == nil {
 		total.Stats = sim.NewStats()
 	}

@@ -248,7 +248,7 @@ func sumSuffix(counters map[string]int64, suffix string) int64 {
 	return n
 }
 
-func TestHashJoinParallelismSpeedsUp(t *testing.T) {
+func TestHashJoinMorePipelinesSpeedUp(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	build := make([]record.Rec, 8000)
 	probe := make([]record.Rec, 8000)
@@ -331,4 +331,14 @@ func TestTileSorterBuffersPingPong(t *testing.T) {
 		t.Errorf("drain tiles lived in %d distinct backing arrays across %d swaps; ping-pong requires exactly 2",
 			got, probe.swaps)
 	}
+}
+
+// kvRecs builds n [key, val] records with keys in [0, n) derived from seed.
+func kvRecs(n, seed int) []record.Rec {
+	recs := make([]record.Rec, n)
+	for i := range recs {
+		k := uint32(i*seed+7) % uint32(n)
+		recs[i] = record.Make(k, uint32(seed*1000+i))
+	}
+	return recs
 }

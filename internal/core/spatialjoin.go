@@ -41,7 +41,6 @@ func RTreeSpatialJoin(a, b *rtree.Tree, tun Tuning) ([]SpatialJoinPair, Result, 
 	}
 	g := fabric.NewGraph()
 	g.AttachHBM(a.HBM)
-	g.Workers = tun.Parallelism
 
 	ctl := fabric.NewLoopCtl()
 	ext := g.Link("sj.ext")

@@ -87,7 +87,6 @@ func (j *SymmetricJoin) WindowInto(g *fabric.Graph, pf string, reqs, drvs Stream
 func (j *SymmetricJoin) Window(reqs, drvs []record.Rec, opt ProbeOptions) (reqMatches, drvMatches []record.Rec, res Result, err error) {
 	g := fabric.NewGraph()
 	g.AttachHBM(j.Req.HBM)
-	g.Workers = j.Req.Params.Tuning.Parallelism
 	sinks, err := j.WindowInto(g, "win", InRecs(reqs), InRecs(drvs), opt)
 	if err != nil {
 		return nil, nil, Result{}, err

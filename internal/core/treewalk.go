@@ -46,7 +46,6 @@ func BTreeSearchP(t *btree.Tree, queries []RangeQuery, tun Tuning, p int) ([]rec
 	}
 	g := fabric.NewGraph()
 	g.AttachHBM(t.HBM)
-	g.Workers = tun.Parallelism
 
 	sinks := make([]*fabric.Sink, p)
 	for k := 0; k < p; k++ {
@@ -186,7 +185,6 @@ func RTreeWindowP(t *rtree.Tree, queries []WindowQuery, tun Tuning, p int) ([]re
 	}
 	g := fabric.NewGraph()
 	g.AttachHBM(t.HBM)
-	g.Workers = tun.Parallelism
 
 	sinks := make([]*fabric.Sink, p)
 	for k := 0; k < p; k++ {

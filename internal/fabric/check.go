@@ -339,9 +339,9 @@ func (g *Graph) checkLoopEntries(comps []sim.Component, ends map[*sim.Link]*link
 
 // tarjanSCC returns the strongly connected components of adj, grouped and
 // ordered by sim.StronglyConnected's emission numbering (a reverse
-// topological order of the condensation), with members ascending. The
-// shard planner, this checker, and the token-flow prover all condense
-// through the same iterative Tarjan in internal/sim.
+// topological order of the condensation), with members ascending. This
+// checker and the token-flow prover both condense through the same
+// iterative Tarjan in internal/sim.
 func tarjanSCC(adj [][]int) [][]int {
 	a32 := make([][]int32, len(adj))
 	for i, row := range adj {

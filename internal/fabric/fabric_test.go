@@ -355,3 +355,39 @@ func TestDRAMNodeGatherScatter(t *testing.T) {
 		}
 	}
 }
+
+// TestSlowDRAMNotMisreportedAsDeadlock: a legal DRAM configuration with a
+// deep queue and a punishing row-miss penalty stays silent far longer than
+// the old hard-coded 4096-cycle grace window. The derived window (which
+// sums the HBM's declared worst-case internal latency) must ride it out.
+func TestSlowDRAMNotMisreportedAsDeadlock(t *testing.T) {
+	cfg := dram.DefaultConfig()
+	cfg.RowMissPenalty = 3000
+	cfg.RowHitLatency = 500
+	cfg.BurstCycles = 16
+	h := dram.New(cfg)
+	for i := uint32(0); i < 64; i++ {
+		h.WriteWord(i, i)
+	}
+	g := NewGraph()
+	g.AttachHBM(h)
+	in, out := g.Link("in"), g.Link("out")
+	g.Add(NewSource("src", seqRecs(64), in))
+	NewDRAMNode(g, "gather", spad.Spec{
+		Op:    spad.OpRead,
+		Width: 1,
+		Addr:  func(r *record.Rec) uint32 { return (r.Get(0) % 4) * (1 << 14) }, // hammer row misses
+		Apply: func(r *record.Rec, resp []uint32) bool {
+			*r = r.Append(resp[0])
+			return true
+		},
+	}, in, out)
+	snk := NewSink("snk", out)
+	g.Add(snk)
+	if _, err := g.Run(10_000_000); err != nil {
+		t.Fatalf("slow DRAM misreported: %v", err)
+	}
+	if snk.Count() != 64 {
+		t.Fatalf("got %d of 64", snk.Count())
+	}
+}

@@ -45,12 +45,6 @@ type Graph struct {
 	Sys *sim.System
 	HBM *dram.HBM
 
-	// Workers selects the simulation kernel: values > 1 tick components on
-	// that many goroutines per cycle (sim.RunOptions.Workers). Results are
-	// bit-identical to the serial kernel at any worker count; kernels
-	// thread core.Tuning.Parallelism into this field.
-	Workers int
-
 	// NoBatch forces the scalar tick path (sim.RunOptions.NoBatch); the
 	// batch-vs-scalar conformance suite runs each blueprint once with this
 	// set to obtain the reference execution.
@@ -99,23 +93,6 @@ func (g *Graph) AttachHBM(h *dram.HBM) {
 	g.Sys.Add(g.hbmTicker)
 }
 
-// StagePlan returns the two-level shard decomposition of the wired graph:
-// pipeline stages (topological layers of the link graph, with recirculating
-// loops collapsed to one layer) and, within each stage, lanes — component
-// groups whose links never alias and whose shared-state keys are disjoint.
-// This is exactly the plan the parallel kernel schedules by, exposed so
-// placements, benchmarks, and tests can reason about a blueprint's
-// parallel shape before (or without) running it.
-func (g *Graph) StagePlan() *sim.ShardPlan {
-	return g.Sys.PlanShards()
-}
-
-// StageOf returns each component's pipeline stage, indexed by registration
-// order (the order of Graph.Add calls), as computed by StagePlan.
-func (g *Graph) StageOf() []int {
-	return g.Sys.PlanShards().CompStage
-}
-
 // Run verifies the graph topology, then simulates until the graph drains
 // and returns elapsed cycles. A malformed graph is rejected before the
 // first cycle with a *CheckError naming each structural bug.
@@ -123,7 +100,7 @@ func (g *Graph) Run(maxCycles int64) (int64, error) {
 	if err := g.Check(); err != nil {
 		return 0, err
 	}
-	return g.Sys.RunWith(maxCycles, sim.RunOptions{Workers: g.Workers, NoBatch: g.NoBatch})
+	return g.Sys.RunWith(maxCycles, sim.RunOptions{NoBatch: g.NoBatch})
 }
 
 // defectf records a construction-time wiring error for Check.

@@ -274,14 +274,14 @@ func (m *Map) Tick(cycle int64) {
 // full 16-lane vector.
 func copyVec(dst, src *record.Vector) {
 	m := src.Mask
-	dst.Mask = m // lint:phaseconf-ok dst is the caller's staged flit on a link the ticking component produces into (Link.StageVec), owned by the claiming worker until commit
+	dst.Mask = m
 	if m == (1<<record.NumLanes)-1 {
-		dst.Lane = src.Lane // lint:phaseconf-ok dst is the caller's staged flit on a link the ticking component produces into, owned by the claiming worker until commit
+		dst.Lane = src.Lane
 		return
 	}
 	for m != 0 {
 		i := bits.TrailingZeros16(m)
 		m &= m - 1
-		dst.Lane[i] = src.Lane[i] // lint:phaseconf-ok dst is the caller's staged flit on a link the ticking component produces into, owned by the claiming worker until commit
+		dst.Lane[i] = src.Lane[i]
 	}
 }

@@ -188,9 +188,6 @@ func TestCountSinkTickZeroAlloc(t *testing.T) {
 	allocs := func(recs []record.Rec, noBatch bool, mk func(string, *sim.Link) *Sink) float64 {
 		return testing.AllocsPerRun(5, func() {
 			g, snk := thinned(recs, noBatch, mk)
-			// The serial kernel, whatever AUROCHS_WORKERS says: worker
-			// goroutines allocate on their own schedule.
-			g.Workers = 1
 			if _, err := g.Run(100_000); err != nil || snk.Count() != (len(recs)+2)/3 {
 				t.Fatalf("run: %v, counted %d of %d", err, snk.Count(), len(recs))
 			}

@@ -50,11 +50,9 @@ func ReplayWitness(g *Graph, w *flow.Witness) error {
 				panicMsg = fmt.Sprint(r)
 			}
 		}()
-		// Always the serial kernel (Workers: 1, which also pins the
-		// AUROCHS_WORKERS env override): a predicted underflow panic must
-		// fire on this goroutine for the recover above to catch it, and
-		// the parallel kernel is cycle-for-cycle identical anyway.
-		_, runErr = g.Sys.RunWith(ReplayBudget(w), sim.RunOptions{Workers: 1})
+		// A predicted underflow panic fires on this goroutine, where the
+		// recover above catches it.
+		_, runErr = g.Sys.Run(ReplayBudget(w))
 	}()
 
 	switch w.Mode {

@@ -121,7 +121,7 @@ func TestSpatialAsymptotics(t *testing.T) {
 	}
 }
 
-func TestParallelismSaturates(t *testing.T) {
+func TestPipelineScalingSaturates(t *testing.T) {
 	m := Default()
 	// fig. 12: throughput scales with P until memory-bound.
 	c1 := m.HashJoinCycles(1e8, 1e8, 1)

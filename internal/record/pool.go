@@ -8,7 +8,7 @@ package record
 // consumes never grows the heap).
 //
 // The pool is deliberately not synchronized: each component owns its own
-// pool, and the parallel kernel never ticks one component from two workers.
+// pool, and the kernel ticks one component at a time.
 type VecPool struct {
 	free []*Vector
 }

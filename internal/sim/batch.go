@@ -28,9 +28,8 @@ package sim
 //
 // The scheduler falls back to scalar Tick whenever the budget is below
 // BatchMinFlits — thin streams pay for batch setup without amortizing it —
-// or the component does not implement the interface. Both kernels (serial
-// and parallel) make the same offer from the same committed state, so the
-// choice itself is deterministic.
+// or the component does not implement the interface. The offer is a
+// function of committed link state, so the choice itself is deterministic.
 
 // BatchTicker is optionally implemented by components whose Tick is an
 // element-wise loop over link flits. TickBatch must be observably
@@ -49,9 +48,6 @@ const BatchMinFlits = 2
 // state: the largest visible run on any input, clamped by the scarcest
 // output credit. Components with no inputs (sources) are budgeted by
 // credit alone; components with no outputs (sinks) by visibility alone.
-// Every field read here is owned by component i's side of its links
-// (consumer-side nVis, producer-side credits), so the parallel kernel may
-// evaluate it during the tick phase without racing other workers.
 func (sc *scheduler) batchBudget(i int) int {
 	links := sc.sys.links
 	n := 0

@@ -94,10 +94,11 @@ func (e *WakeViolation) Error() string {
 }
 
 // VerifyWakeContract is the event-scheduler extension of
-// VerifyIdleContract: it runs the system on the serial wake kernel and, on
-// every cycle, cross-checks each *sleeping* component's Idle answer. A
-// sleeping component answering Idle=false has work the scheduler does not
-// know about — its WakeHint failed to register an internal timer, or its
+// VerifyIdleContract: it runs the system on the wake kernel, wired exactly
+// as RunWith wires it (dirty-link commit included), and on every cycle
+// cross-checks each *sleeping* component's Idle answer. A sleeping
+// component answering Idle=false has work the scheduler does not know
+// about — its WakeHint failed to register an internal timer, or its
 // state is mutated through a channel not declared via ports/SharedState —
 // and the polling kernel would have ticked it, so the kernels diverge.
 // The first breach aborts the run as a *WakeViolation; a clean run that
@@ -105,6 +106,7 @@ func (e *WakeViolation) Error() string {
 // only ever manifests as a stall is still caught).
 func VerifyWakeContract(sys *System, maxCycles int64) error {
 	sched := newScheduler(sys)
+	defer sched.detach()
 	start := sys.cycle
 	for sys.cycle-start < maxCycles {
 		if sched.allDone() {
@@ -123,7 +125,7 @@ func VerifyWakeContract(sys *System, maxCycles int64) error {
 					What: "asleep but Idle answered false: the component has work no wake event announces (missing WakeHint timer or undeclared shared state)"}
 			}
 		}
-		sched.stepSerial(cycle)
+		sched.step(cycle)
 		sys.cycle++
 	}
 	if sched.allDone() {

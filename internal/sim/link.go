@@ -44,13 +44,12 @@ type Link struct {
 	cap     int
 	latency int
 
-	// Ring indices are split by owner so the parallel kernel can tick both
-	// endpoints concurrently: the consumer advances head/nVis (Drop), the
-	// producer advances tail/nFly (stage), and commit — which runs at the
-	// end-of-cycle barrier — is the only place that reads both sides.
+	// Ring indices are split by endpoint: the consumer advances head/nVis
+	// (Drop), the producer advances tail/nFly (stage), and the end-of-cycle
+	// commit is the only place that moves flits between the two runs.
 	// tail always equals (head+nVis+nFly) mod capacity: Drop moves a slot
 	// from the visible run to free space by head++/nVis--, leaving the sum
-	// unchanged, so the producer never needs the consumer's counters.
+	// unchanged, so a push never reads the consumer's counters.
 	buf   []Flit
 	ready []int64 // parallel to buf: first cycle the staged flit may become visible
 	head  int     // consumer-owned: ring index of the oldest visible flit
@@ -65,9 +64,8 @@ type Link struct {
 
 	// pushedNow/poppedNow record per-cycle activity; commit collects and
 	// clears them so the runner detects progress without sweeping counters.
-	// The producer writes only pushedNow and the consumer only poppedNow,
-	// which is what lets the parallel kernel tick both endpoints of a link
-	// concurrently.
+	// Either flag set means commit has work on the link, and during a run
+	// the link has been marked dirty for this cycle's commit.
 	pushedNow bool
 	poppedNow bool
 
@@ -76,18 +74,16 @@ type Link struct {
 	// drain/in-flight state as of the last commit so the runner maintains
 	// its O(1) termination and fast-forward counters incrementally.
 	id         int
-	wasDrained bool // phase:commit — cached drain state, updated only by commitLinks
-	wasFly     bool // phase:commit — cached in-flight state, updated only by commitLinks
+	wasDrained bool // cached drain state, updated only by the scheduler's commit
+	wasFly     bool // cached in-flight state, updated only by the scheduler's commit
 
-	// sched, when non-nil, receives a markLink on every mutation so the
-	// serial kernel commits only dirty links instead of sweeping the census.
-	// RunWith wires it for serial runs only: parallel workers mutating links
-	// concurrently would race on the shared dirty list, so the parallel
-	// kernel leaves it nil and commits by sweep.
+	// sched is the running scheduler (nil outside a run). Every mutation
+	// reports the link to it, so its commit visits exactly the links with
+	// pending work: a mutation that skipped touch would never be committed.
 	sched *scheduler
 }
 
-// touch reports a mutation to the serial kernel's dirty-link tracker.
+// touch reports a mutation to the running scheduler's dirty-link tracker.
 func (l *Link) touch() {
 	if s := l.sched; s != nil {
 		s.markLink(l)
@@ -312,9 +308,9 @@ func (l *Link) PopBlock(dst []Flit) int {
 	if first > n {
 		first = n
 	}
-	copy(dst[:first], l.buf[l.head:l.head+first]) // lint:phaseconf-ok dst is the consuming component's own staging storage; the consumer side of a link is owned by the claiming worker until commit
+	copy(dst[:first], l.buf[l.head:l.head+first])
 	if rest := n - first; rest > 0 {
-		copy(dst[first:n], l.buf[:rest]) // lint:phaseconf-ok dst is the consuming component's own staging storage; the consumer side of a link is owned by the claiming worker until commit
+		copy(dst[first:n], l.buf[:rest])
 	}
 	l.DropBlock(n)
 	return n
@@ -329,15 +325,11 @@ func (l *Link) Pushes() int64 { return l.pushes }
 // Pops returns the total flits ever popped.
 func (l *Link) Pops() int64 { return l.pops }
 
-// pending reports whether commit has any work this cycle: per-cycle
-// activity to collect or in-flight entries that may arrive.
-func (l *Link) pending() bool { return l.pushedNow || l.poppedNow || l.nFly > 0 }
-
 // nextArrival returns the maturity stamp of the oldest in-flight flit.
 // Stamps are nondecreasing along the ring (pushes happen at nondecreasing
 // cycles with a constant latency), so the oldest in-flight entry is the
-// next to arrive. Callers guarantee nFly > 0. phase:commit — read by the
-// runner's fast-forward between cycles, never during ticks.
+// next to arrive. Callers guarantee nFly > 0. Read by the runner's
+// fast-forward between cycles, never during ticks.
 func (l *Link) nextArrival() int64 {
 	i := l.head + l.nVis
 	if i >= len(l.buf) {

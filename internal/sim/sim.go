@@ -8,18 +8,12 @@
 // the consumer in cycle N+1 at the earliest — so the order in which
 // components tick within a cycle can never change the result. This mirrors
 // the skid-buffered ready-valid streaming interface that loosely times
-// Gorgon's tiles (paper §III-A). The same property licenses the parallel
-// tick path (RunOptions.Workers): components that share no state outside
-// links may tick concurrently within a cycle, with a barrier before link
-// commit.
+// Gorgon's tiles (paper §III-A).
 package sim
 
 import (
 	"fmt"
-	"os"
-	"runtime"
 	"sort"
-	"strconv"
 )
 
 // Component is one clocked element of the fabric: a compute tile, a
@@ -42,8 +36,7 @@ type Component interface {
 // would neither mutate component state nor touch any link or shared
 // resource — the runner then skips the call entirely. The answer must be a
 // deterministic function of simulation state (never host time or
-// randomness) so the serial and parallel kernels skip identically and runs
-// stay bit-reproducible.
+// randomness) so runs stay bit-reproducible.
 type Idler interface {
 	Idle(cycle int64) bool
 }
@@ -51,16 +44,12 @@ type Idler interface {
 // StateSharer is optionally implemented by components that touch state
 // outside their links: a shared scratchpad memory, the HBM, a loop
 // controller. SharedState returns opaque keys (compared by identity);
-// components returning a common key are scheduled onto the same worker by
-// the parallel kernel and tick in registration order, which keeps their
-// interleaving identical to the serial kernel. A *Link key additionally
-// groups the component with that link's producers and consumers — for
-// components that inspect link state beyond the Pop/Push contract (e.g. a
-// loop-entry merge reading Drained on its recirculating input).
-//
-// A component with no ports (neither InputPorts nor OutputPorts) and no
-// SharedState is conservatively scheduled into one common group: the
-// kernel cannot prove it independent of anything.
+// components returning a common key are wake partners: a tick of one
+// wakes the others (see wake.go), because each may observe the other's
+// mutation of the shared state. A *Link key subscribes the component to
+// that link's wakes — for components that inspect link state beyond the
+// Pop/Push contract (e.g. a loop-entry merge reading Drained on its
+// recirculating input).
 type StateSharer interface {
 	SharedState() []any
 }
@@ -79,10 +68,10 @@ type LatencyBound interface {
 // InputPorts is implemented by components that can report the links they
 // pop from. Together with OutputPorts it lets the fabric's static verifier
 // (fabric.Graph.Check) reconstruct the graph topology without instrumenting
-// the simulation path, and lets the parallel kernel prove which components
-// may tick concurrently. Every component shipped in this repository
-// implements the interfaces; custom components wired into a fabric.Graph
-// must too, or Check will report their links as unclaimed.
+// the simulation path, and gives the wake scheduler each link's endpoints.
+// Every component shipped in this repository implements the interfaces;
+// custom components wired into a fabric.Graph must too, or Check will
+// report their links as unclaimed.
 type InputPorts interface {
 	// InputLinks returns the links the component consumes. Nil entries
 	// are reported as wiring bugs.
@@ -103,14 +92,6 @@ type System struct {
 	links  []*Link
 	cycle  int64
 	stats  *Stats
-
-	// effectiveWorkers records the worker count the last RunWith actually
-	// used after auto-mode resolution (see RunOptions.Workers).
-	effectiveWorkers int
-	// lastKernel records the most recent RunWith's full kernel decision:
-	// requested vs resolved workers, the fallback reason (if any), and the
-	// shard-plan shape it was decided on.
-	lastKernel KernelDecision
 }
 
 // NewSystem creates an empty simulation.
@@ -172,23 +153,8 @@ func (e *BudgetError) Error() string {
 	return fmt.Sprintf("sim: cycle budget %d exhausted at cycle %d; stuck components: %v", e.Budget, e.Cycle, e.Stuck)
 }
 
-// RunOptions selects the tick kernel.
+// RunOptions selects reference modes of the tick kernel.
 type RunOptions struct {
-	// Workers is the number of goroutines ticking components each cycle.
-	// Values 0 and 1 select the serial kernel; values > 1 request that
-	// many workers. Negative values select auto mode: up to -Workers
-	// workers, falling back to the serial kernel when the topology cannot
-	// profit — too few independent union-find shards, a component census
-	// too small to amortize the per-cycle barrier, one shard dominating
-	// the load, or a single-CPU host. Components sharing state (declared
-	// via StateSharer or implied by shared links) stay on one worker, so
-	// results are bit-identical to the serial kernel at any worker count;
-	// the fallback only changes wall-clock time. EffectiveWorkers reports
-	// what a run resolved to. When Workers is 0, the AUROCHS_WORKERS
-	// environment variable (if set to a valid integer) supplies the value
-	// instead — CI uses this to force the whole test suite through the
-	// parallel kernel under the race detector.
-	Workers int
 	// NoIdleSkip disables per-component quiescence: every component ticks
 	// every cycle, as the pre-quiescence kernel did. Results are identical
 	// either way for components honouring the Idler contract; the knob
@@ -202,23 +168,6 @@ type RunOptions struct {
 	NoBatch bool
 }
 
-// envWorkers reads the AUROCHS_WORKERS environment override. It applies
-// only when RunOptions.Workers is 0 (the caller expressed no preference),
-// so CI can force every simulation in the test suite through the parallel
-// kernel — under the race detector this turns the whole suite into a
-// determinism stress. Unset, empty, or unparsable values keep the default.
-func envWorkers() int {
-	v := os.Getenv("AUROCHS_WORKERS")
-	if v == "" {
-		return 0
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0
-	}
-	return n
-}
-
 // Run ticks the system until every component reports Done, the cycle budget
 // is exhausted, or no progress is observed for a grace window. It returns
 // the number of cycles simulated.
@@ -226,64 +175,18 @@ func (s *System) Run(maxCycles int64) (int64, error) {
 	return s.RunWith(maxCycles, RunOptions{})
 }
 
-// RunParallel runs with the given worker count (see RunOptions.Workers).
-func (s *System) RunParallel(maxCycles int64, workers int) (int64, error) {
-	return s.RunWith(maxCycles, RunOptions{Workers: workers})
-}
-
-// RunWith is Run with an explicit kernel selection. Both kernels are
-// event-driven (see wake.go): a cycle examines only the components in the
-// wake set, and fully quiescent stretches fast-forward to the next timer.
+// RunWith is Run with explicit reference modes. The kernel is event-driven
+// (see wake.go): a cycle examines only the components in the wake set, and
+// fully quiescent stretches fast-forward to the next timer.
 // The fast-forward advances the clock and the no-progress counter by
 // exactly the cycles it skips, so deadlock and budget errors carry the
 // same cycle numbers the polling kernel reported.
 func (s *System) RunWith(maxCycles int64, opt RunOptions) (int64, error) {
-	requested := opt.Workers
-	if requested == 0 {
-		requested = envWorkers()
-	}
-	plan := s.PlanShards()
-	workers, reason := requested, FallbackNone
-	switch {
-	case requested < 0:
-		workers, reason = s.autoWorkers(-requested, plan)
-	case requested <= 1:
-		workers, reason = 1, FallbackRequestedSerial
-	default:
-		// An explicit positive count skips the auto heuristics, but a plan
-		// with a single shard (or a single component) is serial regardless:
-		// one atom can only ever run on one worker.
-		if len(plan.Shards) < 2 || len(s.comps) < 2 {
-			workers, reason = 1, FallbackSingleShard
-		}
-	}
 	grace := s.graceWindow()
 	sched := newScheduler(s)
 	sched.noSkip = opt.NoIdleSkip
 	sched.noBatch = opt.NoBatch
-	var pool *workerPool
-	if workers > 1 {
-		pool = newWorkerPool(s, sched, plan, workers, opt.NoIdleSkip)
-		defer pool.stop()
-	} else {
-		// Serial kernel: wire the dirty-link tracker so commit visits only
-		// links with pending work. The pointers are cleared on exit — a later
-		// parallel run's workers must never reach a stale scheduler.
-		sched.trackDirty = true
-		for _, l := range s.links {
-			l.sched = sched
-		}
-		defer func() {
-			for _, l := range s.links {
-				l.sched = nil
-			}
-		}()
-	}
-	s.effectiveWorkers = 1
-	if pool != nil {
-		s.effectiveWorkers = pool.workers()
-	}
-	s.recordKernelDecision(requested, reason, plan)
+	defer sched.detach()
 	idle := int64(0)
 	start := s.cycle
 	for s.cycle-start < maxCycles {
@@ -337,12 +240,7 @@ func (s *System) RunWith(maxCycles int64, opt RunOptions) (int64, error) {
 				continue
 			}
 		}
-		var moved bool
-		if pool != nil {
-			moved = sched.stepParallel(s.cycle, pool)
-		} else {
-			moved = sched.stepSerial(s.cycle)
-		}
+		moved := sched.step(s.cycle)
 		s.cycle++
 		if moved {
 			idle = 0
@@ -357,50 +255,6 @@ func (s *System) RunWith(maxCycles int64, opt RunOptions) (int64, error) {
 		return s.cycle - start, nil
 	}
 	return s.cycle - start, &BudgetError{Budget: maxCycles, Cycle: s.cycle, Stuck: s.stuckNames()}
-}
-
-// EffectiveWorkers reports the worker count the most recent RunWith used
-// after resolving auto mode (1 when it fell back to the serial kernel, or
-// before any run).
-func (s *System) EffectiveWorkers() int {
-	if s.effectiveWorkers < 1 {
-		return 1
-	}
-	return s.effectiveWorkers
-}
-
-// KernelDecision reports how the most recent RunWith resolved its tick
-// kernel: requested vs resolved workers, the fallback reason (if any), and
-// the shard-plan shape the decision was made on. Zero before any run.
-func (s *System) KernelDecision() KernelDecision { return s.lastKernel }
-
-// recordKernelDecision stores the resolved kernel choice and surfaces it
-// through the Stats meta channel (never the counters, which must stay
-// bit-identical across kernels). The fallback reason in particular is no
-// longer discarded: harnesses read it back via Stats().Meta() or
-// KernelDecision() and the bench JSON quotes it per experiment.
-func (s *System) recordKernelDecision(requested int, reason string, plan *ShardPlan) {
-	s.lastKernel = KernelDecision{
-		Requested:    requested,
-		Resolved:     s.EffectiveWorkers(),
-		Fallback:     reason,
-		GOMAXPROCS:   runtime.GOMAXPROCS(0),
-		Components:   len(s.comps),
-		Shards:       len(plan.Shards),
-		Stages:       plan.Stages,
-		MaxLanes:     plan.MaxLanes,
-		LargestShard: plan.Largest,
-		LargestShare: plan.LargestShare(),
-	}
-	st := s.stats
-	st.SetMeta("kernel.workers_requested", strconv.Itoa(requested))
-	st.SetMeta("kernel.workers_resolved", strconv.Itoa(s.EffectiveWorkers()))
-	st.SetMeta("kernel.fallback", reason)
-	st.SetMeta("kernel.shards", strconv.Itoa(len(plan.Shards)))
-	st.SetMeta("kernel.stages", strconv.Itoa(plan.Stages))
-	st.SetMeta("kernel.max_lanes", strconv.Itoa(plan.MaxLanes))
-	st.SetMeta("kernel.largest_shard", strconv.Itoa(plan.Largest))
-	st.SetMeta("kernel.gomaxprocs", strconv.Itoa(runtime.GOMAXPROCS(0)))
 }
 
 // graceWindow derives the deadlock detector's no-progress tolerance from

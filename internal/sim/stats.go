@@ -17,29 +17,17 @@ import (
 // once at construction and bump an atomic int64 per event — no per-tick map
 // lookup, no string hashing, no interface boxing of deltas, and no lock:
 // a bare atomic add is the entire cost. Increments are commutative, so
-// final values are independent of tick order — which is what keeps the
-// parallel kernel bit-identical to the serial one. Snapshot coherence is
+// final values are independent of tick order. Snapshot coherence is
 // per-counter (each value is an atomic load); every harness in this
 // repository snapshots at rest — after RunWith returns or between cycles —
-// where per-counter atomicity is full coherence. A snapshot taken while
-// worker goroutines are mid-tick would be a phase-discipline breach long
-// before it is a stats problem.
+// where per-counter atomicity is full coherence.
 type Stats struct {
 	mu       sync.RWMutex // guards the counters map (registration), not Add
 	counters map[string]*Counter
-
-	// meta holds host-side run telemetry (kernel selection, fallback
-	// reasons, worker resolution) keyed by name. It is deliberately a
-	// separate namespace from the counters: counters are simulation results
-	// and must be bit-identical across kernels, while meta *describes* the
-	// kernel choice and differs between serial and parallel runs by design.
-	// Snapshot and String never include it; read it with Meta/MetaLookup.
-	metaMu sync.Mutex
-	meta   map[string]string // phase:commit — host telemetry, written only outside the tick phase
 }
 
 // Counter is a handle to one named statistic. Obtain with Stats.Counter at
-// construction time; Add is safe from concurrent workers.
+// construction time; Add is safe from concurrent goroutines.
 type Counter struct {
 	v int64
 }
@@ -112,38 +100,6 @@ func (s *Stats) Snapshot() map[string]int64 {
 		out[k] = atomic.LoadInt64(&c.v)
 	}
 	return out
-}
-
-// SetMeta records one host-side telemetry fact (e.g. the kernel fallback
-// reason). Meta is outside the counter namespace: it never appears in
-// Snapshot or String, so it cannot break serial/parallel stats identity.
-func (s *Stats) SetMeta(name, value string) {
-	s.metaMu.Lock()
-	defer s.metaMu.Unlock()
-	if s.meta == nil {
-		s.meta = make(map[string]string)
-	}
-	s.meta[name] = value
-}
-
-// Meta returns a copy of the host-side telemetry map.
-func (s *Stats) Meta() map[string]string {
-	s.metaMu.Lock()
-	defer s.metaMu.Unlock()
-	out := make(map[string]string, len(s.meta))
-	// lint:maprange-ok — copying into a map; order cannot matter.
-	for k, v := range s.meta {
-		out[k] = v
-	}
-	return out
-}
-
-// MetaLookup returns one telemetry value and whether it was recorded.
-func (s *Stats) MetaLookup(name string) (string, bool) {
-	s.metaMu.Lock()
-	defer s.metaMu.Unlock()
-	v, ok := s.meta[name]
-	return v, ok
 }
 
 // Names returns all counter names, sorted.

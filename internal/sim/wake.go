@@ -47,9 +47,7 @@ import (
 // Determinism: the wake set is an index bitmap drained in ascending order,
 // timers expire into the same bitmap, and link/partner tables are built by
 // deterministic traversals — no map iteration anywhere on the cycle path,
-// so serial and parallel kernels stay bit-identical (the parallel kernel's
-// bins are unions of shared-state groups, which makes every same-cycle
-// wake an intra-bin event; see parallel.go).
+// so runs are bit-reproducible.
 
 // WakeHinter is optionally implemented by components (alongside Idler) that
 // can sleep between events. WakeHint(cycle) returns the earliest future
@@ -220,8 +218,9 @@ func (w *timerWheel) next(cycle int64) int64 {
 }
 
 // scheduler is the per-run wake state. It is rebuilt by each RunWith (and
-// by the conformance harnesses), so components and links registered between
-// runs are picked up.
+// by VerifyWakeContract), so components and links registered between runs
+// are picked up. While it runs, every registered link reports its
+// mutations to it (Link.sched); detach unwires them.
 type scheduler struct {
 	sys      *System
 	n        int
@@ -254,19 +253,15 @@ type scheduler struct {
 	inLinks  [][]int32
 	outLinks [][]int32
 
-	// Dirty-link commit tracking (serial kernel only). When trackDirty is
-	// set, every link mutation (stage/Drop and their block forms) reports
-	// the link via markLink, and the commit phase visits exactly the links
-	// with pending work — the marked ones plus flyIDs, the links carrying
-	// in-flight flits as of the last commit — instead of sweeping the whole
-	// census. The parallel kernel keeps the sweep: its workers mutate links
-	// concurrently, and a shared dirty list would reintroduce the very
-	// cross-worker traffic the owner-split link fields avoid.
-	trackDirty bool
+	// Dirty-link commit tracking. Every link mutation (stage/Drop and their
+	// block forms) reports the link via markLink, and the commit phase
+	// visits exactly the links with pending work — the marked ones plus
+	// flyIDs, the links carrying in-flight flits as of the last commit —
+	// instead of sweeping the whole census.
 	dirtySet   bitset  // over link ids: marked since the last commit
-	dirtyIDs   []int32 // phase:tick — marked links, appended by markLink
-	flyIDs     []int32 // phase:commit — links with in-flight flits at last commit
-	flyScratch []int32 // phase:commit — double buffer for rebuilding flyIDs
+	dirtyIDs   []int32 // marked links, appended by markLink
+	flyIDs     []int32 // links with in-flight flits at last commit
+	flyScratch []int32 // double buffer for rebuilding flyIDs
 
 	wheel *timerWheel
 
@@ -274,9 +269,9 @@ type scheduler struct {
 	// Done can flip only in a Tick (the Idle contract), link drain state
 	// only at a commit.
 	doneBits  bitset
-	notDone   int // phase:commit — census delta applied only after the barrier
-	undrained int // phase:commit — maintained by commitLinks alone
-	flyLinks  int // phase:commit — links holding in-flight flits (commit work pending)
+	notDone   int // components not Done, updated after each tick
+	undrained int // links not Drained, updated only by commitOne
+	flyLinks  int // links holding in-flight flits (commit work pending)
 
 	// noSkip mirrors RunOptions.NoIdleSkip: never consult Idle, tick every
 	// awake component. Ticking re-arms, so after the all-set first cycle
@@ -325,6 +320,7 @@ func newScheduler(s *System) *scheduler {
 	sc.flyIDs = make([]int32, 0, len(s.links))
 	sc.flyScratch = make([]int32, 0, len(s.links))
 	for _, l := range s.links {
+		l.sched = sc
 		l.wasDrained = l.Drained()
 		l.wasFly = l.nFly > 0
 		if !l.wasDrained {
@@ -338,10 +334,10 @@ func newScheduler(s *System) *scheduler {
 	return sc
 }
 
-// buildPartnerTables derives the wake topology from the same declarations
-// the parallel scheduler shards by: port lists and SharedState keys. All
-// traversals run in registration order; the only maps are keyed lookups
-// whose iteration order is never consulted.
+// buildPartnerTables derives the wake topology from the components'
+// declarations: port lists and SharedState keys. All traversals run in
+// registration order; the only maps are keyed lookups whose iteration
+// order is never consulted.
 func (sc *scheduler) buildPartnerTables() {
 	s := sc.sys
 	sc.linkWake = make([][]int32, len(s.links))
@@ -456,10 +452,17 @@ func (sc *scheduler) buildPartnerTables() {
 	}
 }
 
-// markLink records link activity for the serial kernel's dirty-list commit.
-// Called from the link mutators (stage/Drop and the block forms) via the
-// link's sched pointer, which RunWith wires only for serial runs — the
-// parallel kernel's workers would race on the shared list, so it sweeps.
+// detach unwires the links from the scheduler once its run is over, so a
+// finished run's scheduler is neither retained nor marked by later link use.
+func (sc *scheduler) detach() {
+	for _, l := range sc.sys.links {
+		l.sched = nil
+	}
+}
+
+// markLink records link activity for the dirty-list commit. Called from the
+// link mutators (stage/Drop and the block forms) via the link's sched
+// pointer.
 func (sc *scheduler) markLink(l *Link) {
 	id := l.id
 	if id < 0 || sc.dirtySet.get(id) {
@@ -494,8 +497,7 @@ func (sc *scheduler) allDone() bool { return sc.notDone == 0 && sc.undrained == 
 
 // beginCycle rotates the wake sets: this cycle's set is last cycle's
 // accumulated wakes, the poll shim, and expiring timers. hot:path — runs
-// once per simulated cycle. phase:coordinator — no worker is running while
-// the sets rotate.
+// once per simulated cycle.
 func (sc *scheduler) beginCycle(cycle int64) {
 	sc.awake, sc.next = sc.next, sc.awake
 	sc.next.clearAll()
@@ -547,13 +549,12 @@ func (sc *scheduler) sleep(i int, cycle int64) {
 	sc.wheel.schedule(cycle, int32(i), hint)
 }
 
-// stepSerial advances one cycle on the serial event kernel: drain the wake
-// set in ascending index order (accepting same-cycle insertions ahead of
-// the cursor), then commit every link with pending work. It reports
-// link-traffic progress, exactly like the polling kernel's step. hot:path —
-// this is the serial kernel's per-cycle loop. phase:coordinator — the serial
-// kernel has no workers; its plain bitmap ops never race.
-func (sc *scheduler) stepSerial(cycle int64) bool {
+// step advances one cycle: drain the wake set in ascending index order
+// (accepting same-cycle insertions ahead of the cursor), then commit every
+// link with pending work. It reports link-traffic progress, exactly like
+// the polling kernel's step. hot:path — this is the kernel's per-cycle
+// loop.
+func (sc *scheduler) step(cycle int64) bool {
 	s := sc.sys
 	aw := sc.awake
 	for wi := range aw {
@@ -586,16 +587,12 @@ func (sc *scheduler) stepSerial(cycle int64) bool {
 			sc.next.set(i) // may have more work; it will re-idle otherwise
 		}
 	}
-	if sc.trackDirty {
-		return sc.commitDirty(cycle)
-	}
-	return sc.commitLinks(cycle)
+	return sc.commitDirty(cycle)
 }
 
 // commitOne ends one link's cycle and applies the wake consequences and
 // the incremental termination/fast-forward bookkeeping. It also rebuilds
-// the in-flight list for the next cycle. phase:commit — serial in both
-// kernels (the parallel kernel barriers first), so plain state suffices.
+// the in-flight list for the next cycle.
 func (sc *scheduler) commitOne(id int, l *Link, cycle int64) (progress bool) {
 	progress, wake := l.commit(cycle)
 	if wake {
@@ -625,27 +622,7 @@ func (sc *scheduler) commitOne(id int, l *Link, cycle int64) (progress bool) {
 	return progress
 }
 
-// commitLinks runs the end-of-cycle commit over every link with pending
-// work, by full census sweep — the parallel kernel's commit (its workers
-// cannot share a dirty list without racing) and the fallback for schedulers
-// driven outside RunWith (the conformance harnesses). hot:path — runs once
-// per simulated cycle.
-func (sc *scheduler) commitLinks(cycle int64) bool {
-	moved := false
-	sc.flyScratch = sc.flyScratch[:0]
-	for id, l := range sc.sys.links {
-		if !l.pending() {
-			continue
-		}
-		if sc.commitOne(id, l, cycle) {
-			moved = true
-		}
-	}
-	sc.flyIDs, sc.flyScratch = sc.flyScratch, sc.flyIDs
-	return moved
-}
-
-// commitDirty is the serial kernel's commit: visit exactly the links with
+// commitDirty is the end-of-cycle commit: visit exactly the links with
 // pending work — those marked by a push or pop this cycle (dirtyIDs) plus
 // those carrying in-flight flits from earlier cycles (flyIDs). Commit order
 // across links is unobservable: each link's commit touches only that link,
@@ -680,7 +657,7 @@ func (sc *scheduler) commitDirty(cycle int64) bool {
 // matures, or WakeNever when nothing is in flight. Together with the timer
 // wheel this bounds the runner's fast-forward when every component is
 // asleep but links still carry flits: commits before (arrival-1) are
-// provable no-ops. phase:commit — called between cycles only.
+// provable no-ops. Called between cycles only.
 func (sc *scheduler) nextArrival() int64 {
 	min := WakeNever
 	links := sc.sys.links
