@@ -189,43 +189,6 @@ func TestAllocCleanFixture(t *testing.T) {
 	}
 }
 
-// TestBatchBadFixture: the batch tick path is audited like the scalar one —
-// TickBatch on a component type and the block ops on a Push+Pop-shaped type
-// are hot-path roots, and the seeded per-batch staging buffer, spill
-// growth (scalar and block), formatted label, and interface boxing are each
-// caught.
-func TestBatchBadFixture(t *testing.T) {
-	pkg := loadFixture(t, "batchbad")
-	fs := runAnalyzers(t, pkg, Hotalloc)
-	if got := countRule(fs, "hotalloc"); got != 5 {
-		t.Fatalf("hotalloc: got %d findings, want 5\n%v", got, fs)
-	}
-	var sawBatch, sawBlock bool
-	for _, f := range fs {
-		if strings.Contains(f.Msg, "Batcher.TickBatch") {
-			sawBatch = true
-		}
-		if strings.Contains(f.Msg, "Spill.PushBlock") {
-			sawBlock = true
-		}
-	}
-	if !sawBatch || !sawBlock {
-		t.Errorf("findings must be attributed to the batch roots (TickBatch=%v PushBlock=%v):\n%v",
-			sawBatch, sawBlock, fs)
-	}
-}
-
-// TestBatchCleanFixture: the audited block-transport surface —
-// PeekBlock/DropBlock/PushBlock/PopBlock on sim.Link, Credits for the batch
-// budget, and a fixed-storage local container with the same op shapes —
-// passes without findings.
-func TestBatchCleanFixture(t *testing.T) {
-	pkg := loadFixture(t, "batchclean")
-	if fs := runAnalyzers(t, pkg, Hotalloc); len(fs) != 0 {
-		t.Errorf("clean fixture flagged:\n%v", fs)
-	}
-}
-
 // TestDeterminismAdapter: the folded PR-1 rules report identically through
 // the driver — counts match the lint package's own fixture expectations.
 func TestDeterminismAdapter(t *testing.T) {

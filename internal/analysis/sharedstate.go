@@ -221,8 +221,8 @@ func sharedReach(t types.Type, seen map[types.Type]bool) string {
 
 // isSimSynchronized reports whether t is one of the simulator types that are
 // safe to share without a SharedState declaration: sim.Link (the scheduler
-// unions link endpoints through the port interfaces) and sim.Stats (mutex-
-// sharded counters whose Add is commutative, so tick order cannot leak into
+// unions link endpoints through the port interfaces) and sim.Stats (plain
+// counters whose Add is commutative, so tick order cannot leak into
 // results).
 func isSimSynchronized(t types.Type) bool {
 	named, ok := types.Unalias(t).(*types.Named)

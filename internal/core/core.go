@@ -60,16 +60,8 @@ func (r Result) Seconds() float64 { return float64(r.Cycles) / ClockHz }
 // the critical path from the issue queue through the allocator (paper §V-A).
 const ClockHz = 1e9
 
-// scalarTicks puts every kernel graph on the scalar tick path
-// (fabric.Graph.NoBatch). Only tests set it, to get the reference execution
-// of a multi-phase kernel for batch-vs-scalar comparisons.
-var scalarTicks bool
-
 // runGraph executes a wired kernel graph and assembles its Result.
 func runGraph(g *fabric.Graph, maxCycles int64) (Result, error) {
-	if scalarTicks {
-		g.NoBatch = true
-	}
 	var before int64
 	if g.HBM != nil {
 		before = g.HBM.BytesMoved()

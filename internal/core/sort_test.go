@@ -223,21 +223,6 @@ func TestHashJoinStatsCarryPhaseCounters(t *testing.T) {
 	}
 }
 
-// TestHashJoinStatsBatchIdentity: every counter the join reports, spad
-// grants and requests included, is identical on the scalar tick path.
-func TestHashJoinStatsBatchIdentity(t *testing.T) {
-	batch := statsJoin(t)
-	scalarTicks = true
-	defer func() { scalarTicks = false }()
-	scalar := statsJoin(t)
-	if !reflect.DeepEqual(batch, scalar) {
-		t.Fatalf("counters differ between batch and scalar runs:\nbatch:  %v\nscalar: %v", batch, scalar)
-	}
-	if sumSuffix(scalar, ".grants") <= 0 {
-		t.Fatal("scalar run reported no spad grants")
-	}
-}
-
 func sumSuffix(counters map[string]int64, suffix string) int64 {
 	var n int64
 	for name, v := range counters {

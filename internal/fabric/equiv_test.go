@@ -5,6 +5,7 @@ import (
 
 	"aurochs/internal/dram"
 	"aurochs/internal/record"
+	"aurochs/internal/sim"
 	"aurochs/internal/spad"
 )
 
@@ -163,13 +164,17 @@ type graphResult struct {
 	sinks  [][]record.Rec
 }
 
-func runCase(t *testing.T, c graphCase, noBatch bool) graphResult {
+// runCase builds c afresh and runs it on the event kernel, or with polling
+// set on the polling reference (every component ticks every cycle).
+func runCase(t *testing.T, c graphCase, polling bool) graphResult {
 	t.Helper()
 	g, sinks := c.build()
-	g.NoBatch = noBatch
-	cycles, err := g.Run(2_000_000)
+	if err := g.Check(); err != nil {
+		t.Fatalf("%s: %v", c.name, err)
+	}
+	cycles, err := g.Sys.RunWith(2_000_000, sim.RunOptions{NoIdleSkip: polling})
 	if err != nil {
-		t.Fatalf("%s noBatch=%v: %v", c.name, noBatch, err)
+		t.Fatalf("%s polling=%v: %v", c.name, polling, err)
 	}
 	res := graphResult{cycles: cycles, stats: g.Stats().String()}
 	for _, s := range sinks {
@@ -178,22 +183,23 @@ func runCase(t *testing.T, c graphCase, noBatch bool) graphResult {
 	return res
 }
 
-// TestGraphParallelEquivalence: every graph shape produces bit-identical
-// cycles, stats, and outputs on the scalar tick path, on the batch tick
-// path, and on a fresh rebuild run again — the simulated result depends
-// only on the graph, never on how the host steps it.
-func TestGraphParallelEquivalence(t *testing.T) {
+// TestGraphIdleSkipEquivalence: every graph shape produces bit-identical
+// cycles, stats, and outputs on the event kernel, on the polling reference,
+// and on a fresh rebuild run on the event kernel again — the simulated
+// result depends only on the graph, never on which components the host
+// skips.
+func TestGraphIdleSkipEquivalence(t *testing.T) {
 	for _, c := range graphCases() {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			ref := runCase(t, c, true)
 			for i, got := range []graphResult{runCase(t, c, false), runCase(t, c, false)} {
-				label := [...]string{"batch", "batch rebuild"}[i]
+				label := [...]string{"event", "event rebuild"}[i]
 				if got.cycles != ref.cycles {
-					t.Errorf("%s: cycles %d != scalar %d", label, got.cycles, ref.cycles)
+					t.Errorf("%s: cycles %d != polling %d", label, got.cycles, ref.cycles)
 				}
 				if got.stats != ref.stats {
-					t.Errorf("%s: stats differ\nscalar:\n%s\ngot:\n%s", label, ref.stats, got.stats)
+					t.Errorf("%s: stats differ\npolling:\n%s\ngot:\n%s", label, ref.stats, got.stats)
 				}
 				if len(got.sinks) != len(ref.sinks) {
 					t.Fatalf("%s: sink count differs", label)

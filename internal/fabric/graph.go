@@ -45,11 +45,6 @@ type Graph struct {
 	Sys *sim.System
 	HBM *dram.HBM
 
-	// NoBatch forces the scalar tick path (sim.RunOptions.NoBatch); the
-	// batch-vs-scalar conformance suite runs each blueprint once with this
-	// set to obtain the reference execution.
-	NoBatch bool
-
 	hbmTicker *hbmComponent
 	// defects collects construction-time wiring errors (e.g. a DRAM node
 	// on a graph with no HBM attached) for Check to report alongside the
@@ -100,7 +95,7 @@ func (g *Graph) Run(maxCycles int64) (int64, error) {
 	if err := g.Check(); err != nil {
 		return 0, err
 	}
-	return g.Sys.RunWith(maxCycles, sim.RunOptions{NoBatch: g.NoBatch})
+	return g.Sys.Run(maxCycles)
 }
 
 // defectf records a construction-time wiring error for Check.

@@ -116,33 +116,6 @@ func (s *Sink) Tick(cycle int64) {
 	}
 }
 
-// TickBatch implements sim.BatchTicker: the sink drains every visible flit
-// in Tick already, so the batch form only changes the bookkeeping — whole
-// contiguous spans are read through PeekBlock and released with one
-// DropBlock counter update instead of a Peek/Drop pair per flit.
-func (s *Sink) TickBatch(cycle int64, n int) int {
-	total := 0
-	for !s.in.Empty() {
-		blk := s.in.PeekBlock()
-		for i := range blk {
-			if blk[i].EOS {
-				// Consume up to and including the EOS, then stop exactly as
-				// the scalar loop does — nothing after EOS is touched.
-				s.in.DropBlock(i + 1)
-				s.eos = true
-				return total + i + 1
-			}
-			s.n += blk[i].Vec.Count()
-			if !s.countOnly {
-				s.recs = blk[i].Vec.AppendRecords(s.recs)
-			}
-		}
-		s.in.DropBlock(len(blk))
-		total += len(blk)
-	}
-	return total
-}
-
 // Records returns everything collected so far; nil for a count-only sink.
 func (s *Sink) Records() []record.Rec { return s.recs }
 

@@ -133,11 +133,9 @@ func TestSourceMatchesVectorize(t *testing.T) {
 }
 
 // thinned wires recs through a filter that kills every record whose key
-// is 1 or 2 mod 3 — sparse, partial vectors, arriving in bursts the batched
-// path takes as blocks — into the sink mk builds.
-func thinned(recs []record.Rec, noBatch bool, mk func(string, *sim.Link) *Sink) (*Graph, *Sink) {
+// is 1 or 2 mod 3 — sparse, partial vectors — into the sink mk builds.
+func thinned(recs []record.Rec, mk func(string, *sim.Link) *Sink) (*Graph, *Sink) {
 	g := NewGraph()
-	g.NoBatch = noBatch
 	in, out := g.Link("in"), g.Link("out")
 	g.Add(NewSource("src", recs, in))
 	g.Add(NewFilter("thin", func(r *record.Rec) int {
@@ -152,54 +150,49 @@ func thinned(recs []record.Rec, noBatch bool, mk func(string, *sim.Link) *Sink) 
 }
 
 // TestCountSinkMatchesSink: a count-only sink reports the same Count as a
-// storing sink on the same stream, partial vectors included, on both the
-// scalar and the batched tick path, and stores nothing.
+// storing sink on the same stream, partial vectors included, and stores
+// nothing.
 func TestCountSinkMatchesSink(t *testing.T) {
 	for _, n := range streamSizes {
-		for _, noBatch := range []bool{true, false} {
-			gs, store := thinned(seqRecs(n), noBatch, NewSink)
-			gc, count := thinned(seqRecs(n), noBatch, NewCountSink)
-			for _, g := range []*Graph{gs, gc} {
-				if _, err := g.Run(100_000); err != nil {
-					t.Fatal(err)
-				}
+		gs, store := thinned(seqRecs(n), NewSink)
+		gc, count := thinned(seqRecs(n), NewCountSink)
+		for _, g := range []*Graph{gs, gc} {
+			if _, err := g.Run(100_000); err != nil {
+				t.Fatal(err)
 			}
-			want := (n + 2) / 3
-			if store.Count() != want || len(store.Records()) != want {
-				t.Fatalf("n=%d noBatch=%v: storing sink count %d, %d records, want %d", n, noBatch, store.Count(), len(store.Records()), want)
-			}
-			if count.Count() != want {
-				t.Fatalf("n=%d noBatch=%v: count sink %d, storing sink %d", n, noBatch, count.Count(), want)
-			}
-			if count.Records() != nil {
-				t.Fatalf("n=%d noBatch=%v: count sink stored %d records", n, noBatch, len(count.Records()))
-			}
+		}
+		want := (n + 2) / 3
+		if store.Count() != want || len(store.Records()) != want {
+			t.Fatalf("n=%d: storing sink count %d, %d records, want %d", n, store.Count(), len(store.Records()), want)
+		}
+		if count.Count() != want {
+			t.Fatalf("n=%d: count sink %d, storing sink %d", n, count.Count(), want)
+		}
+		if count.Records() != nil {
+			t.Fatalf("n=%d: count sink stored %d records", n, len(count.Records()))
 		}
 	}
 }
 
 // TestCountSinkTickZeroAlloc: draining a stream into a count-only sink
-// allocates nothing per flit, through Tick (scalar path) and TickBatch
-// (batched path). A whole Source → Filter → CountSink run allocates the
-// same for 16 records as for 16K, so no node allocates in its tick; a
-// storing sink, which grows its record slice, does not pass.
+// allocates nothing per flit. A whole Source → Filter → CountSink run
+// allocates the same for 16 records as for 16K, so no node allocates in its
+// tick; a storing sink, which grows its record slice, does not pass.
 func TestCountSinkTickZeroAlloc(t *testing.T) {
 	small, large := seqRecs(record.NumLanes), seqRecs(1024*record.NumLanes)
-	allocs := func(recs []record.Rec, noBatch bool, mk func(string, *sim.Link) *Sink) float64 {
+	allocs := func(recs []record.Rec, mk func(string, *sim.Link) *Sink) float64 {
 		return testing.AllocsPerRun(5, func() {
-			g, snk := thinned(recs, noBatch, mk)
+			g, snk := thinned(recs, mk)
 			if _, err := g.Run(100_000); err != nil || snk.Count() != (len(recs)+2)/3 {
 				t.Fatalf("run: %v, counted %d of %d", err, snk.Count(), len(recs))
 			}
 		})
 	}
-	for _, noBatch := range []bool{true, false} {
-		if a, b := allocs(small, noBatch, NewCountSink), allocs(large, noBatch, NewCountSink); a != b {
-			t.Errorf("noBatch=%v: count-sink run allocates %.0f times for %d records, %.0f for %d; want equal",
-				noBatch, a, len(small), b, len(large))
-		}
-		if a, b := allocs(small, noBatch, NewSink), allocs(large, noBatch, NewSink); a == b {
-			t.Errorf("noBatch=%v: storing sink allocates %.0f times at both sizes; the measure is blind", noBatch, a)
-		}
+	if a, b := allocs(small, NewCountSink), allocs(large, NewCountSink); a != b {
+		t.Errorf("count-sink run allocates %.0f times for %d records, %.0f for %d; want equal",
+			a, len(small), b, len(large))
+	}
+	if a, b := allocs(small, NewSink), allocs(large, NewSink); a == b {
+		t.Errorf("storing sink allocates %.0f times at both sizes; the measure is blind", a)
 	}
 }

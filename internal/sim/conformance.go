@@ -114,8 +114,8 @@ func VerifyWakeContract(sys *System, maxCycles int64) error {
 		}
 		cycle := sys.cycle
 		sched.beginCycle(cycle)
-		// No fast-forward: every cycle is audited, including quiescent
-		// ones (exactly where a missed wake registration hides).
+		// Every cycle is audited, including quiescent ones (exactly where
+		// a missed wake registration hides).
 		for i, c := range sys.comps {
 			if sched.awake.get(i) {
 				continue // scheduled for examination this cycle

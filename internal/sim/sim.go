@@ -153,19 +153,14 @@ func (e *BudgetError) Error() string {
 	return fmt.Sprintf("sim: cycle budget %d exhausted at cycle %d; stuck components: %v", e.Budget, e.Cycle, e.Stuck)
 }
 
-// RunOptions selects reference modes of the tick kernel.
+// RunOptions selects the reference mode of the tick kernel.
 type RunOptions struct {
-	// NoIdleSkip disables per-component quiescence: every component ticks
-	// every cycle, as the pre-quiescence kernel did. Results are identical
-	// either way for components honouring the Idler contract; the knob
-	// exists for A/B validation and debugging.
+	// NoIdleSkip turns the event kernel into the polling reference: Idle
+	// is never consulted and every component ticks every cycle. Results —
+	// cycles, Stats, link traffic, errors — are bit-identical either way
+	// for components honouring the Idler and WakeHinter contracts; the
+	// equivalence suites run each graph both ways to prove it.
 	NoIdleSkip bool
-	// NoBatch disables TickBatch offers: every component ticks through the
-	// scalar path even when it implements BatchTicker and the budget clears
-	// BatchMinFlits. Results are identical either way for components
-	// honouring the BatchTicker contract (see batch.go); the knob supplies
-	// the reference side of the batch-vs-scalar conformance suite.
-	NoBatch bool
 }
 
 // Run ticks the system until every component reports Done, the cycle budget
@@ -175,17 +170,16 @@ func (s *System) Run(maxCycles int64) (int64, error) {
 	return s.RunWith(maxCycles, RunOptions{})
 }
 
-// RunWith is Run with explicit reference modes. The kernel is event-driven
-// (see wake.go): a cycle examines only the components in the wake set, and
-// fully quiescent stretches fast-forward to the next timer.
-// The fast-forward advances the clock and the no-progress counter by
-// exactly the cycles it skips, so deadlock and budget errors carry the
-// same cycle numbers the polling kernel reported.
+// RunWith is Run with an explicit reference mode. There is one way to
+// advance a cycle: every awake component (see wake.go) gets one Tick, then
+// the links with pending work commit. Sleeping components are skipped, but
+// no cycle is: the clock and the no-progress counter advance one cycle at a
+// time, so results and error cycles are bit-identical to the polling
+// reference (RunOptions.NoIdleSkip).
 func (s *System) RunWith(maxCycles int64, opt RunOptions) (int64, error) {
 	grace := s.graceWindow()
 	sched := newScheduler(s)
 	sched.noSkip = opt.NoIdleSkip
-	sched.noBatch = opt.NoBatch
 	defer sched.detach()
 	idle := int64(0)
 	start := s.cycle
@@ -194,52 +188,6 @@ func (s *System) RunWith(maxCycles int64, opt RunOptions) (int64, error) {
 			return s.cycle - start, nil
 		}
 		sched.beginCycle(s.cycle)
-		if !opt.NoIdleSkip && !sched.awake.any() {
-			// Steady-state fast-forward. With no component scheduled this
-			// cycle, the only possible activity is link commits maturing
-			// in-flight flits. Two cases:
-			//
-			//   - Fully quiescent (no in-flight flits either): every cycle
-			//     until the next timer is identical — no ticks, no commits,
-			//     no progress. Jump to the timer.
-			//   - In-flight only: commits before the earliest arrival's
-			//     maturation promote nothing, return no credits, and wake
-			//     nobody — provable no-ops, because arrival stamps are the
-			//     only time-dependent input to commit and they are
-			//     nondecreasing per link. Jump to one cycle before the
-			//     earliest arrival (that cycle's commit performs the
-			//     promotion), bounded by the next timer.
-			//
-			// Either jump is bounded by the deadlock and budget horizons and
-			// charges the skipped cycles to the no-progress counter, so the
-			// detector's arithmetic matches a cycle-by-cycle run exactly.
-			jump := int64(0)
-			if sched.quiescent() {
-				jump = grace - idle + 1
-				if nt := sched.wheel.next(s.cycle); nt != WakeNever && nt-s.cycle < jump {
-					jump = nt - s.cycle
-				}
-			} else if na := sched.nextArrival(); na-1 > s.cycle {
-				jump = na - 1 - s.cycle
-				if nt := sched.wheel.next(s.cycle); nt != WakeNever && nt-s.cycle < jump {
-					jump = nt - s.cycle
-				}
-			}
-			if d := grace - idle + 1; d < jump {
-				jump = d
-			}
-			if left := maxCycles - (s.cycle - start); left < jump {
-				jump = left
-			}
-			if jump > 0 {
-				s.cycle += jump
-				idle += jump
-				if idle > grace {
-					return s.cycle - start, &DeadlockError{Cycle: s.cycle, Stuck: s.stuckNames()}
-				}
-				continue
-			}
-		}
 		moved := sched.step(s.cycle)
 		s.cycle++
 		if moved {

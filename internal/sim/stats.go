@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
 // Stats is a named-counter set shared across a simulation. Components
@@ -14,31 +12,27 @@ import (
 // read back to explain throughput numbers.
 //
 // The hot path is a Counter handle: components resolve their counter names
-// once at construction and bump an atomic int64 per event — no per-tick map
-// lookup, no string hashing, no interface boxing of deltas, and no lock:
-// a bare atomic add is the entire cost. Increments are commutative, so
-// final values are independent of tick order. Snapshot coherence is
-// per-counter (each value is an atomic load); every harness in this
-// repository snapshots at rest — after RunWith returns or between cycles —
-// where per-counter atomicity is full coherence.
+// once at construction and bump a plain int64 per event — no per-tick map
+// lookup, no string hashing, no interface boxing of deltas. Increments are
+// commutative, so final values are independent of tick order.
+//
+// Stats is not safe for concurrent use; one goroutine ticks every
+// component.
 type Stats struct {
-	mu       sync.RWMutex // guards the counters map (registration), not Add
 	counters map[string]*Counter
 }
 
 // Counter is a handle to one named statistic. Obtain with Stats.Counter at
-// construction time; Add is safe from concurrent goroutines.
+// construction time.
 type Counter struct {
 	v int64
 }
 
 // Add increments the counter by delta.
-func (c *Counter) Add(delta int64) {
-	atomic.AddInt64(&c.v, delta)
-}
+func (c *Counter) Add(delta int64) { c.v += delta }
 
 // Value returns the counter's current value.
-func (c *Counter) Value() int64 { return atomic.LoadInt64(&c.v) }
+func (c *Counter) Value() int64 { return c.v }
 
 // NewStats returns an empty counter set.
 func NewStats() *Stats {
@@ -47,19 +41,11 @@ func NewStats() *Stats {
 
 // Counter returns the handle for name, creating it at zero on first use.
 func (s *Stats) Counter(name string) *Counter {
-	s.mu.RLock()
 	c := s.counters[name]
-	s.mu.RUnlock()
-	if c != nil {
-		return c
+	if c == nil {
+		c = &Counter{}
+		s.counters[name] = c
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if c := s.counters[name]; c != nil {
-		return c
-	}
-	c = &Counter{}
-	s.counters[name] = c
 	return c
 }
 
@@ -71,10 +57,8 @@ func (s *Stats) Add(name string, delta int64) {
 
 // Get returns counter name (zero if never written).
 func (s *Stats) Get(name string) int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	if c := s.counters[name]; c != nil {
-		return c.Value()
+		return c.v
 	}
 	return 0
 }
@@ -88,16 +72,12 @@ func (s *Stats) Ratio(num, den string) float64 {
 	return float64(s.Get(num)) / float64(d)
 }
 
-// Snapshot returns a copy of every counter. Each value is an atomic load;
-// callers snapshot at rest (after a run or between cycles), where that is
-// full coherence.
+// Snapshot returns a copy of every counter.
 func (s *Stats) Snapshot() map[string]int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	out := make(map[string]int64, len(s.counters))
 	// lint:maprange-ok — copying into a map; order cannot matter.
 	for k, c := range s.counters {
-		out[k] = atomic.LoadInt64(&c.v)
+		out[k] = c.v
 	}
 	return out
 }
@@ -113,8 +93,7 @@ func (s *Stats) Names() []string {
 	return out
 }
 
-// String renders all counters, one per line, sorted by name. The render
-// works from a single coherent Snapshot, never from per-counter reads.
+// String renders all counters, one per line, sorted by name.
 func (s *Stats) String() string {
 	snap := s.Snapshot()
 	names := make([]string, 0, len(snap))
