@@ -100,7 +100,6 @@ type Tile struct {
 	robCount map[int64]int    // outstanding requests per seq (in-order mode)
 	robHead  int64
 	seq      int64
-	rr       int
 	eosIn    bool
 	eosSent  bool
 
@@ -117,7 +116,7 @@ type Tile struct {
 	laneBids []int32 // un-granted slots per lane×bank, lane*banks+bank
 	// Bit-mirrors of the counters above (bit b of bankBidMask set iff
 	// bankBids[b] > 0; bit l of laneMask[bank] set iff laneBids[l*banks+bank]
-	// > 0). The allocator rotates these by rr and walks set bits with
+	// > 0). The allocator rotates these by the cycle and walks set bits with
 	// TrailingZeros, which visits exactly the banks/lanes the counter scan
 	// would in the same priority order — only the empty probes disappear.
 	// Maintained only while banks and Lanes both fit in 64 bits (maskable).
@@ -350,6 +349,10 @@ func (t *Tile) allocate(cycle int64) {
 		t.cRespStall.Add(1)
 		return
 	}
+	// Round-robin priority rotates with the clock, not with the tile's own
+	// tick count, so grant order is the same whether or not the tile slept
+	// through idle cycles.
+	rr := int(cycle)
 	granted := 0
 	if t.bids > 0 && t.maskable {
 		// Greedy maximal matching (paper fig. 2b) over the bid masks: visit
@@ -359,10 +362,10 @@ func (t *Tile) allocate(cycle int64) {
 		// ascending position reproduces those sequences exactly, so the
 		// grant order — and therefore all simulated state — is unchanged.
 		var issued uint64
-		br := t.rr & (t.banks - 1)
+		br := rr & (t.banks - 1)
 		bm := (t.bankBidMask>>uint(br) | t.bankBidMask<<uint(t.banks-br)) & (uint64(1)<<uint(t.banks) - 1)
 		lmod := t.cfg.Lanes
-		lr := t.rr % lmod
+		lr := rr % lmod
 		lfull := uint64(1)<<uint(lmod) - 1
 		for bm != 0 {
 			p := bits.TrailingZeros64(bm)
@@ -399,12 +402,12 @@ func (t *Tile) allocate(cycle int64) {
 		// Reference scan for degenerate geometries (>64 banks or lanes).
 		issued := make([]bool, t.cfg.Lanes) // lint:hotalloc-ok cold fallback path, never taken at default geometry
 		for b := 0; b < t.banks; b++ {
-			bank := (b + t.rr) & (t.banks - 1)
+			bank := (b + rr) & (t.banks - 1)
 			if t.bankBids[bank] == 0 || t.bankBusy[bank] > cycle {
 				continue
 			}
 			for l := 0; l < t.cfg.Lanes; l++ {
-				lane := (l + t.rr) % t.cfg.Lanes
+				lane := (l + rr) % t.cfg.Lanes
 				if issued[lane] || t.laneBids[lane*t.banks+bank] == 0 {
 					continue
 				}
@@ -423,7 +426,6 @@ func (t *Tile) allocate(cycle int64) {
 			}
 		}
 	}
-	t.rr++
 	if granted > 0 {
 		t.cGrants.Add(int64(granted))
 	}
