@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	go run ./cmd/aurochs-vet [-json] [-all] [-graphs] [-schemas] [-flow] [-fixture name] [-wake] [-allocs] [packages]
+//	go run ./cmd/aurochs-vet [-json] [-all] [-graphs] [-schemas] [-fixture name] [-wake] [-allocs] [packages]
 //
 // Packages default to ./... — directories are classified by path:
 //
@@ -18,34 +18,35 @@
 //     internal/core), and the contract analyzers are no-ops on packages
 //     without components;
 //   - internal/bench is exempt (it is the reporting harness — printing is
-//     its job), as are cmd/ and testdata.
+//     its job), as are cmd/ and testdata;
+//   - a fixture package under testdata/src/, named explicitly (recursive
+//     expansion skips testdata), gets the full set, so the CI negative
+//     gates exercise every rule.
 //
 // -graphs additionally builds every blueprint in internal/blueprint and
-// runs fabric.Graph.Prove on it; structural diagnostics and unproven
-// flow-control obligations are reported as findings with File set to
-// "graph:<name>". -schemas upgrades that to the strict prover
-// (fabric.ProveOptions.RequireSchemas): every link must be schema-typed at
-// both ends, and explicitly waived order-dependent effects are reported
-// with "waived": true — visible in the JSON stream, but not a failure.
-//
-// -flow runs the token-flow abstract interpreter (internal/analysis/flow)
-// over every blueprint's link graph: each cycle must prove deadlock
-// freedom and drain completeness, and the graph gets a static occupancy
-// bound. Failed obligations are error findings under the "flow" analyzer,
-// each carrying a flow-* rule and — in the blueprint report — a replayable
-// wedge witness (see DESIGN.md §14). -fixture <name> restricts the graph
-// analyzers to one entry of the blueprint *fixture* registry (skipping
-// package vetting entirely): CI points it at the deliberately wedging
-// "flowbad" fixture to prove the -flow gate still rejects, and at
-// "flowclean" to prove it still accepts.
+// runs fabric.Graph.Prove on it, which includes the token-flow abstract
+// interpreter (internal/analysis/flow): every link must sustain line rate
+// and every cycle must prove credit sufficiency, deadlock freedom and
+// drain completeness, and the graph gets a static occupancy bound.
+// Structural diagnostics and unproven obligations are reported as findings
+// with File set to "graph:<name>"; flow-* rules are attributed to the
+// "flow" analyzer and, in the blueprint report, most carry a replayable
+// wedge witness (see DESIGN.md §12). -schemas upgrades that to the strict
+// prover (fabric.ProveOptions.RequireSchemas): every link must be
+// schema-typed at both ends, and explicitly waived order-dependent effects
+// are reported with "waived": true — visible in the JSON stream, but not a
+// failure. -fixture <name> restricts the graph analyzers to one entry of
+// the blueprint *fixture* registry (skipping package vetting entirely): CI
+// points it at the deliberately wedging "flowbad" fixture to prove the
+// flow gate still rejects, and at "flowclean" to prove it still accepts.
 //
 // -wake adds the missed-wake prover (wakeprop) and -allocs the hot-path
 // allocation prover (hotalloc) over the engine packages (internal/sim,
 // fabric, spad, ring, core) — see DESIGN.md §11. Reviewed sites carry
 // lint:wakeprop-ok / lint:hotalloc-ok markers and surface as waived. -all
-// enables every analyzer family at once (-graphs -schemas -flow -wake
-// -allocs) — the CI gate, so a new analyzer can never be silently left
-// out of the pipeline.
+// enables every analyzer family at once (-graphs -schemas -wake -allocs) —
+// the CI gate, so a new analyzer can never be silently left out of the
+// pipeline.
 //
 // Exit status is 1 when error-severity findings exist, 2 on usage or I/O
 // errors; warnings and waived findings are reported without failing the
@@ -72,7 +73,6 @@ import (
 	"aurochs/internal/analysis/flow"
 	"aurochs/internal/blueprint"
 	"aurochs/internal/fabric"
-	"aurochs/internal/lint"
 )
 
 // cycleLevel lists the packages simulating hardware at cycle granularity;
@@ -84,7 +84,7 @@ var cycleLevel = map[string]bool{
 	"internal/dram":   true,
 }
 
-// exempt lists packages the linter skips entirely: the benchmark harness
+// exempt lists packages aurochs-vet skips entirely: the benchmark harness
 // prints tables by design.
 var exempt = map[string]bool{
 	"internal/bench": true,
@@ -117,26 +117,23 @@ type vetOptions struct {
 // pass. Returning nil skips the directory.
 func analyzersFor(rel string, opt vetOptions) []*analysis.Analyzer {
 	rel = filepath.ToSlash(rel)
-	var as []*analysis.Analyzer
+	// Fixture packages under testdata never appear in a recursive expansion
+	// (expand skips testdata); when one is named explicitly — the CI
+	// negative gates — every rule must run on it.
+	fixture := strings.Contains(rel, "testdata/src/")
+	var det *analysis.Analyzer
 	switch {
 	case exempt[rel]:
 		return nil
-	case cycleLevel[rel]:
-		as = []*analysis.Analyzer{analysis.Determinism, analysis.SharedState, analysis.TickPurity, analysis.Orderdep}
+	case cycleLevel[rel] || fixture:
+		det = analysis.Determinism
 	case rel == "internal" || strings.HasPrefix(rel, "internal/"):
-		as = []*analysis.Analyzer{
-			analysis.DeterminismWith(lint.Rules{Print: true}),
-			analysis.SharedState,
-			analysis.TickPurity,
-			analysis.Orderdep,
-		}
+		det = analysis.PrintHygiene
 	default:
 		return nil
 	}
-	// Fixture packages under testdata never appear in a recursive expansion
-	// (expand skips testdata); when one is named explicitly — the CI
-	// negative gates — the engine analyzers must run on it.
-	if engineScope[rel] || strings.Contains(rel, "testdata/src/") {
+	as := []*analysis.Analyzer{det, analysis.SharedState, analysis.TickPurity, analysis.Orderdep}
+	if engineScope[rel] || fixture {
 		if opt.Wake {
 			as = append(as, analysis.Wakeprop)
 		}
@@ -229,9 +226,9 @@ func moduleRel(dir string) string {
 
 // vetPackages loads each classified directory through one shared loader
 // (so the stdlib type-checks once) and runs its analyzer set.
-func vetPackages(dirs []string, opt vetOptions) ([]lint.Finding, error) {
+func vetPackages(dirs []string, opt vetOptions) ([]analysis.Finding, error) {
 	ld := analysis.NewLoader()
-	var all []lint.Finding
+	var all []analysis.Finding
 	for _, dir := range dirs {
 		rel := moduleRel(dir)
 		analyzers := analyzersFor(rel, opt)
@@ -260,45 +257,31 @@ func vetPackages(dirs []string, opt vetOptions) ([]lint.Finding, error) {
 type graphOptions struct {
 	// Schemas demands every link be schema-typed at both ends (-schemas).
 	Schemas bool
-	// Flow runs the token-flow abstract interpreter: deadlock freedom,
-	// loop drain, and a static occupancy bound per blueprint (-flow).
-	Flow bool
 	// Fixture restricts vetting to one named fixture from the blueprint
 	// fixture registry instead of the shipped blueprints — the CI
 	// negative/positive gates on the flow prover itself.
 	Fixture string
 }
 
-// graphAnalyzer attributes a graph diagnostic to its analyzer family:
-// flow-* rules come from the token-flow prover, everything else from the
-// structural/credit prover.
-func graphAnalyzer(code fabric.DiagCode) string {
-	if strings.HasPrefix(string(code), "flow-") {
-		return "flow"
-	}
-	return "graphs"
-}
-
 // vetGraphs builds every registered blueprint (or the one named fixture)
-// and runs the flow-control, schema, reorder, and — under opt.Flow —
-// token-flow provers. Check diagnostics and unproven obligations become
-// findings; waived effects (audited CAS ordering, declared-lossy streams)
-// are reported with Waived=true for reviewability but do not fail the run.
-// A blueprint that fails to build is an engine error (exit 2), because the
-// registry itself is then broken.
-func vetGraphs(opt graphOptions) ([]lint.Finding, error) {
-	var all []lint.Finding
+// and proves it (Graph.ProveWith). Check diagnostics and unproven
+// obligations become findings, attributed to the "flow" analyzer for the
+// token-flow prover's flow-* rules and to "graphs" otherwise; waived
+// effects (audited CAS ordering, declared-lossy streams) are reported with
+// Waived=true for reviewability but do not fail the run. A blueprint that
+// fails to build is an engine error (exit 2), because the registry itself
+// is then broken.
+func vetGraphs(opt graphOptions) ([]analysis.Finding, error) {
+	var all []analysis.Finding
 	// file is "graph:<blueprint>" for registry entries and
 	// "fixture:<name>" in -fixture mode.
-	graphFinding := func(file string, d fabric.Diag, severity string, waived bool) lint.Finding {
-		return lint.Finding{
-			File:     file,
-			Rule:     string(d.Code),
-			Msg:      d.Msg,
-			Analyzer: graphAnalyzer(d.Code),
-			Severity: severity,
-			Waived:   waived,
+	graphFinding := func(file string, d fabric.Diag, severity string, waived bool) analysis.Finding {
+		f := analysis.Finding{File: file, Rule: string(d.Code), Msg: d.Msg,
+			Analyzer: "graphs", Severity: severity, Waived: waived}
+		if strings.HasPrefix(f.Rule, "flow-") {
+			f.Analyzer = "flow"
 		}
+		return f
 	}
 	type target struct {
 		name  string
@@ -321,14 +304,14 @@ func vetGraphs(opt graphOptions) ([]lint.Finding, error) {
 		if err != nil {
 			return nil, fmt.Errorf("blueprint %s: %w", tg.name, err)
 		}
-		rep, err := g.ProveWith(fabric.ProveOptions{RequireSchemas: opt.Schemas, RequireDeadlockFree: opt.Flow})
+		rep, err := g.ProveWith(fabric.ProveOptions{RequireSchemas: opt.Schemas})
 		if err != nil {
 			var ce *fabric.CheckError
 			if !errors.As(err, &ce) {
 				return nil, fmt.Errorf("blueprint %s: %w", tg.name, err)
 			}
 			for _, d := range ce.Diags {
-				all = append(all, graphFinding(tg.name, d, lint.SevError, false))
+				all = append(all, graphFinding(tg.name, d, analysis.SevError, false))
 			}
 			continue
 		}
@@ -339,15 +322,15 @@ func vetGraphs(opt graphOptions) ([]lint.Finding, error) {
 			// severity. Schema obligations under -schemas and failed flow
 			// obligations — each a provable runtime failure, most carrying
 			// a replayable witness — are contract failures and stay errors.
-			sev := lint.SevError
-			if d.Code == fabric.DiagLineRate || d.Code == fabric.DiagCreditStarved ||
-				d.Code == fabric.DiagCode(flow.RuleOpaqueCycle) {
-				sev = lint.SevWarning
+			sev := analysis.SevError
+			switch string(d.Code) {
+			case flow.RuleLineRate, flow.RuleCreditStarved, flow.RuleOpaqueCycle:
+				sev = analysis.SevWarning
 			}
 			all = append(all, graphFinding(tg.name, d, sev, false))
 		}
 		for _, d := range rep.Waived {
-			all = append(all, graphFinding(tg.name, d, lint.SevWarning, true))
+			all = append(all, graphFinding(tg.name, d, analysis.SevWarning, true))
 		}
 	}
 	return all, nil
@@ -356,7 +339,7 @@ func vetGraphs(opt graphOptions) ([]lint.Finding, error) {
 // enabledFamilies lists the analyzer families a flag combination turns on,
 // in census order. Every enabled family appears in the stderr census even
 // at zero findings, so a silently dead analyzer is visible.
-func enabledFamilies(opt vetOptions, gopt graphOptions, graphsOn, packagesOn bool) []string {
+func enabledFamilies(opt vetOptions, graphsOn, packagesOn bool) []string {
 	var fams []string
 	if packagesOn {
 		fams = append(fams, "determinism", "sharedstate", "tickpurity", "orderdep")
@@ -368,17 +351,14 @@ func enabledFamilies(opt vetOptions, gopt graphOptions, graphsOn, packagesOn boo
 		}
 	}
 	if graphsOn {
-		fams = append(fams, "graphs")
-		if gopt.Flow {
-			fams = append(fams, "flow")
-		}
+		fams = append(fams, "graphs", "flow")
 	}
 	return fams
 }
 
 // censusLine renders the per-family finding counts for stderr: one entry
 // per enabled analyzer family, zeros included.
-func censusLine(families []string, findings []lint.Finding) string {
+func censusLine(families []string, findings []analysis.Finding) string {
 	counts := make(map[string]int, len(families))
 	for _, f := range findings {
 		counts[f.Analyzer]++
@@ -392,26 +372,25 @@ func censusLine(families []string, findings []lint.Finding) string {
 
 func run() (int, error) {
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array")
-	graphs := flag.Bool("graphs", false, "also prove flow control on every registered graph blueprint")
+	graphs := flag.Bool("graphs", false, "also prove flow control (line rate, credits, deadlock freedom, drain, occupancy) on every registered graph blueprint")
 	schemas := flag.Bool("schemas", false, "with -graphs, require every blueprint link to be schema-typed at both ends")
-	flowFlag := flag.Bool("flow", false, "with -graphs, prove deadlock freedom and bounded occupancy with the token-flow prover")
 	fixture := flag.String("fixture", "", "vet only the named fixture from the blueprint fixture registry (graph analyzers only)")
 	wake := flag.Bool("wake", false, "run the missed-wake prover (wakeprop) over the engine packages")
 	allocs := flag.Bool("allocs", false, "run the static allocation prover (hotalloc) over the engine packages")
-	all := flag.Bool("all", false, "enable every analyzer family (-graphs -schemas -flow -wake -allocs)")
+	all := flag.Bool("all", false, "enable every analyzer family (-graphs -schemas -wake -allocs)")
 	flag.Parse()
 	if *all {
-		*graphs, *schemas, *flowFlag, *wake, *allocs = true, true, true, true, true
+		*graphs, *schemas, *wake, *allocs = true, true, true, true
 	}
 	args := flag.Args()
 	if len(args) == 0 {
 		args = []string{"./..."}
 	}
 	opt := vetOptions{Wake: *wake, Allocs: *allocs}
-	gopt := graphOptions{Schemas: *schemas, Flow: *flowFlag, Fixture: *fixture}
-	graphsOn := *graphs || *schemas || *flowFlag || *fixture != ""
+	gopt := graphOptions{Schemas: *schemas, Fixture: *fixture}
+	graphsOn := *graphs || *schemas || *fixture != ""
 	packagesOn := *fixture == "" // -fixture is a graph-only mode
-	var findings []lint.Finding
+	var findings []analysis.Finding
 	if packagesOn {
 		dirs, err := expand(args)
 		if err != nil {
@@ -429,12 +408,12 @@ func run() (int, error) {
 		}
 		findings = append(findings, gf...)
 	}
-	lint.SortFindings(findings)
+	analysis.SortFindings(findings)
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if findings == nil {
-			findings = []lint.Finding{}
+			findings = []analysis.Finding{}
 		}
 		if err := enc.Encode(findings); err != nil {
 			return 2, err
@@ -457,7 +436,7 @@ func run() (int, error) {
 	}
 	if !*jsonOut {
 		fmt.Fprintf(os.Stderr, "aurochs-vet: %d errors (%d warnings, %d waived) — %s\n",
-			hard, warned, waived, censusLine(enabledFamilies(opt, gopt, graphsOn, packagesOn), findings))
+			hard, warned, waived, censusLine(enabledFamilies(opt, graphsOn, packagesOn), findings))
 	}
 	if hard > 0 {
 		return 1, nil

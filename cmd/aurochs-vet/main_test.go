@@ -8,7 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"aurochs/internal/lint"
+	"aurochs/internal/analysis"
 )
 
 // TestAnalyzersFor pins the directory classification: the cycle-level core
@@ -41,6 +41,7 @@ func TestAnalyzersFor(t *testing.T) {
 		// CI negative gates exercise the real analyzer path.
 		{"internal/analysis/testdata/src/wakebad", vetOptions{Wake: true}, 5, "determinism", "wakeprop"},
 		{"internal/analysis/testdata/src/allocbad", vetOptions{Allocs: true}, 5, "determinism", "hotalloc"},
+		{"internal/analysis/testdata/src/detbad", vetOptions{}, 4, "determinism", "orderdep"},
 	}
 	for _, tc := range cases {
 		as := analyzersFor(tc.rel, tc.opt)
@@ -55,18 +56,29 @@ func TestAnalyzersFor(t *testing.T) {
 			t.Errorf("analyzersFor(%q, %+v)[last] = %s, want %s", tc.rel, tc.opt, as[len(as)-1].Name, tc.last)
 		}
 	}
+	// Only the cycle-level core and named fixtures get the full determinism
+	// rule set; other internal packages get print hygiene.
+	for rel, want := range map[string]*analysis.Analyzer{
+		"internal/sim":                          analysis.Determinism,
+		"internal/analysis/testdata/src/detbad": analysis.Determinism,
+		"internal/core":                         analysis.PrintHygiene,
+		"internal/blueprint":                    analysis.PrintHygiene,
+	} {
+		if got := analyzersFor(rel, vetOptions{})[0]; got != want {
+			t.Errorf("analyzersFor(%q)[0] is the wrong determinism rule set", rel)
+		}
+	}
 }
 
 // TestVetGraphsClean runs the -graphs path end to end: every registered
 // blueprint must come through the prover with zero hard findings in every
-// mode, including the full -schemas -flow gate. The explicitly waived
+// mode, including the full -schemas gate. The explicitly waived
 // CAS/publish effects surface as Waived findings — reported for review,
 // never a failure.
 func TestVetGraphsClean(t *testing.T) {
 	for _, opt := range []graphOptions{
 		{},
 		{Schemas: true},
-		{Schemas: true, Flow: true},
 	} {
 		fs, err := vetGraphs(opt)
 		if err != nil {
@@ -92,7 +104,7 @@ func TestVetGraphsClean(t *testing.T) {
 // produce hard error findings attributed to the flow analyzer, and the
 // clean fixture none at all.
 func TestVetGraphsFixtures(t *testing.T) {
-	fs, err := vetGraphs(graphOptions{Flow: true, Fixture: "flowbad"})
+	fs, err := vetGraphs(graphOptions{Fixture: "flowbad"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,10 +122,10 @@ func TestVetGraphsFixtures(t *testing.T) {
 		}
 	}
 	if hard == 0 {
-		t.Error("the flowbad fixture produced no hard findings under -flow")
+		t.Error("the flowbad fixture produced no hard findings")
 	}
 
-	fs, err = vetGraphs(graphOptions{Flow: true, Fixture: "flowclean"})
+	fs, err = vetGraphs(graphOptions{Fixture: "flowclean"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +135,7 @@ func TestVetGraphsFixtures(t *testing.T) {
 		}
 	}
 
-	if _, err := vetGraphs(graphOptions{Flow: true, Fixture: "nope"}); err == nil {
+	if _, err := vetGraphs(graphOptions{Fixture: "nope"}); err == nil {
 		t.Error("unknown fixture name accepted")
 	}
 }
@@ -131,7 +143,7 @@ func TestVetGraphsFixtures(t *testing.T) {
 // TestCensusLine pins the stderr census: every enabled family appears with
 // its count, zeros included.
 func TestCensusLine(t *testing.T) {
-	fams := enabledFamilies(vetOptions{Wake: true}, graphOptions{Flow: true}, true, true)
+	fams := enabledFamilies(vetOptions{Wake: true}, true, true)
 	want := []string{"determinism", "sharedstate", "tickpurity", "orderdep", "wakeprop", "graphs", "flow"}
 	if len(fams) != len(want) {
 		t.Fatalf("enabledFamilies = %v, want %v", fams, want)
@@ -141,7 +153,7 @@ func TestCensusLine(t *testing.T) {
 			t.Fatalf("enabledFamilies = %v, want %v", fams, want)
 		}
 	}
-	got := censusLine(fams, []lint.Finding{
+	got := censusLine(fams, []analysis.Finding{
 		{Analyzer: "flow"}, {Analyzer: "flow"}, {Analyzer: "orderdep"},
 	})
 	const wantLine = "determinism 0, sharedstate 0, tickpurity 0, orderdep 1, wakeprop 0, graphs 0, flow 2"
@@ -149,7 +161,7 @@ func TestCensusLine(t *testing.T) {
 		t.Fatalf("censusLine = %q, want %q", got, wantLine)
 	}
 	// Graph-only mode (-fixture): package families drop out entirely.
-	if got := censusLine(enabledFamilies(vetOptions{}, graphOptions{Flow: true}, true, false), nil); got != "graphs 0, flow 0" {
+	if got := censusLine(enabledFamilies(vetOptions{}, true, false), nil); got != "graphs 0, flow 0" {
 		t.Fatalf("graph-only censusLine = %q", got)
 	}
 }
@@ -171,17 +183,17 @@ func TestJSONGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	graph, err := vetGraphs(graphOptions{Schemas: true, Flow: true})
+	graph, err := vetGraphs(graphOptions{Schemas: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	flowbad, err := vetGraphs(graphOptions{Flow: true, Fixture: "flowbad"})
+	flowbad, err := vetGraphs(graphOptions{Fixture: "flowbad"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	all := append(src, graph...)
 	all = append(all, flowbad...)
-	lint.SortFindings(all)
+	analysis.SortFindings(all)
 	for _, f := range all {
 		if f.Analyzer == "" {
 			t.Errorf("finding without analyzer attribution: %+v", f)
@@ -211,7 +223,7 @@ func TestJSONGolden(t *testing.T) {
 	// The golden file itself must decode and keep the waiver split: the
 	// orderbad fixture contributes hard findings, the registry contributes
 	// waived ones.
-	var decoded []lint.Finding
+	var decoded []analysis.Finding
 	if err := json.Unmarshal(want, &decoded); err != nil {
 		t.Fatalf("golden file is not valid JSON: %v", err)
 	}

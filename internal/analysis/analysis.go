@@ -1,7 +1,6 @@
 // Package analysis is the type-checked static-analysis engine behind
-// cmd/aurochs-vet. It upgrades internal/lint's AST-only rules to analyzers
-// that see go/types information, which is what the two load-bearing
-// contracts of the simulator kernel require:
+// cmd/aurochs-vet. Its analyzers see go/types information, which is what
+// the two load-bearing contracts of the simulator kernel require:
 //
 //   - sharedstate: a component whose fields can alias mutable heap state
 //     reachable from another component must declare that state via
@@ -18,9 +17,9 @@
 // no module proxy, so the framework is vendored down to the shape we need
 // rather than imported.
 //
-// The PR-1 determinism rules (wallclock, globalrand, maprange, print) are
-// folded into the same engine via adapter analyzers over internal/lint, so
-// aurochs-vet runs everything through one driver.
+// The determinism rules (wallclock, globalrand, maprange, print) run on
+// the same typed engine, so aurochs-vet runs everything through one
+// driver.
 package analysis
 
 import (
@@ -28,10 +27,79 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
 	"strings"
-
-	"aurochs/internal/lint"
 )
+
+// Severity classifies a finding. The zero value ("", historical findings)
+// is an error: only findings explicitly marked SevWarning are advisory.
+const (
+	// SevError findings are contract violations: a non-waived error makes
+	// aurochs-vet exit non-zero.
+	SevError = "error"
+	// SevWarning findings are advisory — unprovable-but-suspect sites
+	// (credit sufficiency the prover cannot bound, cross-package calls an
+	// allocation walk cannot see into). They are reported and counted but a
+	// warnings-only run exits 0.
+	SevWarning = "warning"
+)
+
+// Finding is one rule violation, JSON-ready for -json output.
+type Finding struct {
+	File string `json:"file"`
+	Line int    `json:"line"`
+	Rule string `json:"rule"`
+	Msg  string `json:"msg"`
+	// Analyzer names the engine pass that produced the finding
+	// ("determinism", "sharedstate", "orderdep", "graphs"). Rule is the
+	// specific violation within that pass; for single-rule analyzers the
+	// two coincide.
+	Analyzer string `json:"analyzer"`
+	// Severity is SevError or SevWarning; empty means SevError (the
+	// zero value keeps old JSON readable).
+	Severity string `json:"severity,omitempty"`
+	// Waived marks diagnostics accepted on an explicit waiver: reported
+	// for reviewability, but not counted toward a failing exit status.
+	Waived bool `json:"waived"`
+}
+
+// IsError reports whether the finding counts toward a failing exit status
+// (it is neither waived nor a warning).
+func (f Finding) IsError() bool {
+	return !f.Waived && f.Severity != SevWarning
+}
+
+func (f Finding) String() string {
+	suffix := ""
+	if f.Severity == SevWarning {
+		suffix = " (warning)"
+	}
+	if f.Waived {
+		suffix += " (waived)"
+	}
+	return fmt.Sprintf("%s:%d: %s: %s%s", f.File, f.Line, f.Rule, f.Msg, suffix)
+}
+
+// SortFindings orders findings stably by (file, line, analyzer, rule) — the
+// one ordering every emitter (the analysis driver, aurochs-vet's JSON stream,
+// the golden-file test) must share. Stability matters: several analyzers can
+// report distinct messages at the same (file, line, analyzer, rule) key, and
+// an unstable sort would let their relative order vary run to run, breaking
+// golden comparisons across map-iteration and scheduling differences.
+func SortFindings(fs []Finding) {
+	sort.SliceStable(fs, func(i, j int) bool {
+		if fs[i].File != fs[j].File {
+			return fs[i].File < fs[j].File
+		}
+		if fs[i].Line != fs[j].Line {
+			return fs[i].Line < fs[j].Line
+		}
+		if fs[i].Analyzer != fs[j].Analyzer {
+			return fs[i].Analyzer < fs[j].Analyzer
+		}
+		return fs[i].Rule < fs[j].Rule
+	})
+}
 
 // An Analyzer describes one static-analysis rule. The shape matches
 // x/tools/go/analysis.Analyzer minus the dependency machinery (no Requires:
@@ -41,10 +109,6 @@ type Analyzer struct {
 	Name string
 	// Doc is the one-paragraph contract the rule enforces.
 	Doc string
-	// NeedsTypes marks analyzers that require a successfully type-checked
-	// package; the driver skips them (with an error finding) when type
-	// checking failed, instead of crashing on a nil types.Info.
-	NeedsTypes bool
 	// Run inspects one package and reports findings through the pass.
 	Run func(*Pass) error
 }
@@ -53,35 +117,34 @@ type Analyzer struct {
 type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
-	// Files holds the parsed non-test sources; Filenames is parallel.
+	// Files holds the parsed non-test sources.
 	Files     []*ast.File
-	Filenames []string
-	// Pkg and TypesInfo are nil when the package failed to type-check and
-	// the analyzer declared NeedsTypes=false.
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	findings *[]lint.Finding
+	findings *[]Finding
 }
 
 // Reportf records one error-severity finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.report(pos, "", format, args...)
+	p.report(pos, p.Analyzer.Name, "", format, args...)
 }
 
 // Warnf records one warning-severity finding at pos: reported and counted,
 // but a warnings-only run still exits 0 — the channel for sites an analyzer
 // cannot prove either way.
 func (p *Pass) Warnf(pos token.Pos, format string, args ...any) {
-	p.report(pos, lint.SevWarning, format, args...)
+	p.report(pos, p.Analyzer.Name, SevWarning, format, args...)
 }
 
-func (p *Pass) report(pos token.Pos, severity, format string, args ...any) {
+// report records one finding under rule: the analyzer's own name for
+// single-rule analyzers, the specific rule for determinism.
+func (p *Pass) report(pos token.Pos, rule, severity, format string, args ...any) {
 	position := p.Fset.Position(pos)
-	*p.findings = append(*p.findings, lint.Finding{
+	*p.findings = append(*p.findings, Finding{
 		File:     position.Filename,
 		Line:     position.Line,
-		Rule:     p.Analyzer.Name,
+		Rule:     rule,
 		Msg:      fmt.Sprintf(format, args...),
 		Analyzer: p.Analyzer.Name,
 		Severity: severity,
@@ -102,8 +165,7 @@ func (p *Pass) FileOf(pos token.Pos) *ast.File {
 // "lint:sharedstate-ok". A marker covers the lines of its comment group plus
 // the line immediately below it, so it works inline ("x int // lint:...-ok"),
 // as a standalone comment above a field, and anywhere inside the doc comment
-// of the declaration it annotates — matching the maprange waiver convention
-// from internal/lint.
+// of the declaration it annotates.
 func (p *Pass) Waived(pos token.Pos, marker string) bool {
 	f := p.FileOf(pos)
 	if f == nil {
@@ -132,16 +194,16 @@ func (p *Pass) Waived(pos token.Pos, marker string) bool {
 
 // Run applies every analyzer to every package and returns the merged
 // findings in the stable (file, line, analyzer, rule) order of
-// lint.SortFindings. Analyzers needing types are
-// reported as engine errors on packages that failed to type-check rather
-// than silently skipped — a package the checker cannot follow is a finding
-// in itself, not a free pass.
-func Run(pkgs []*Package, analyzers []*Analyzer) ([]lint.Finding, error) {
-	var all []lint.Finding
+// SortFindings. Every analyzer needs types: on a package that failed to
+// type-check each is reported as an engine error rather than silently
+// skipped — a package the checker cannot follow is a finding in itself,
+// not a free pass.
+func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
+	var all []Finding
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
-			if a.NeedsTypes && pkg.Types == nil {
-				all = append(all, lint.Finding{
+			if pkg.Types == nil {
+				all = append(all, Finding{
 					File:     pkg.Dir,
 					Line:     0,
 					Rule:     a.Name,
@@ -155,7 +217,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]lint.Finding, error) {
 				Analyzer:  a,
 				Fset:      pkg.Fset,
 				Files:     pkg.Files,
-				Filenames: pkg.Filenames,
 				Pkg:       pkg.Types,
 				TypesInfo: pkg.Info,
 				findings:  &all,
@@ -165,6 +226,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]lint.Finding, error) {
 			}
 		}
 	}
-	lint.SortFindings(all)
+	SortFindings(all)
 	return all, nil
 }

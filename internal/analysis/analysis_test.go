@@ -1,11 +1,11 @@
 package analysis
 
 import (
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"aurochs/internal/lint"
 )
 
 // loadFixture loads one testdata package through the real loader.
@@ -22,7 +22,7 @@ func loadFixture(t *testing.T, name string) *Package {
 	return pkg
 }
 
-func runAnalyzers(t *testing.T, pkg *Package, as ...*Analyzer) []lint.Finding {
+func runAnalyzers(t *testing.T, pkg *Package, as ...*Analyzer) []Finding {
 	t.Helper()
 	fs, err := Run([]*Package{pkg}, as)
 	if err != nil {
@@ -31,7 +31,7 @@ func runAnalyzers(t *testing.T, pkg *Package, as ...*Analyzer) []lint.Finding {
 	return fs
 }
 
-func countRule(fs []lint.Finding, rule string) int {
+func countRule(fs []Finding, rule string) int {
 	n := 0
 	for _, f := range fs {
 		if f.Rule == rule {
@@ -189,19 +189,123 @@ func TestAllocCleanFixture(t *testing.T) {
 	}
 }
 
-// TestDeterminismAdapter: the folded PR-1 rules report identically through
-// the driver — counts match the lint package's own fixture expectations.
-func TestDeterminismAdapter(t *testing.T) {
-	ld := NewLoader()
-	pkg, err := ld.Load(filepath.Join("..", "lint", "testdata", "src", "bad"), "bad")
-	if err != nil {
-		t.Fatal(err)
+// TestDetBadFixture: the fixture violates each determinism rule a known
+// number of times — maprange included over a call result and a named map
+// type, which only the expression's type reveals.
+func TestDetBadFixture(t *testing.T) {
+	fs := runAnalyzers(t, loadFixture(t, "detbad"), Determinism)
+	want := map[string]int{
+		"wallclock":  2, // time.Now, time.Since
+		"globalrand": 3, // rand.Shuffle, rand.Intn, mrand.Int (aliased)
+		// direct, selector, closure not laundered by an outer sort, call
+		// result, named map type
+		"maprange": 5,
+		"print":    2, // Println, Printf
 	}
-	fs := runAnalyzers(t, pkg, Determinism)
-	want := map[string]int{"wallclock": 2, "globalrand": 3, "maprange": 3, "print": 2}
 	for rule, n := range want {
 		if got := countRule(fs, rule); got != n {
 			t.Errorf("%s: got %d findings, want %d\n%v", rule, got, n, fs)
+		}
+	}
+	if len(fs) != 12 {
+		t.Errorf("got %d findings, want 12:\n%v", len(fs), fs)
+	}
+	for _, f := range fs {
+		if f.Analyzer != "determinism" {
+			t.Errorf("finding not attributed to determinism: %v", f)
+		}
+	}
+}
+
+// TestDetCleanFixture: sanctioned idioms — collect-then-sort, the maprange
+// waiver, seeded rand, fmt.Sprintf/Errorf, slice and array ranges — produce
+// no findings.
+func TestDetCleanFixture(t *testing.T) {
+	if fs := runAnalyzers(t, loadFixture(t, "detclean"), Determinism); len(fs) != 0 {
+		t.Errorf("clean fixture flagged:\n%v", fs)
+	}
+}
+
+// TestPrintHygieneIsPrintOnly: the rule set for non-cycle-level packages
+// reports only the print rule.
+func TestPrintHygieneIsPrintOnly(t *testing.T) {
+	fs := runAnalyzers(t, loadFixture(t, "detbad"), PrintHygiene)
+	if got := countRule(fs, "print"); got != 2 || len(fs) != 2 {
+		t.Errorf("want exactly 2 print findings, got:\n%v", fs)
+	}
+}
+
+// TestFindingsAreOrderedAndSerializable: output is sorted by (file, line,
+// rule) and round-trips through JSON with stable field names.
+func TestFindingsAreOrderedAndSerializable(t *testing.T) {
+	fs := runAnalyzers(t, loadFixture(t, "detbad"), Determinism)
+	if len(fs) == 0 {
+		t.Fatal("no findings")
+	}
+	for i := 1; i < len(fs); i++ {
+		a, b := fs[i-1], fs[i]
+		if a.File > b.File || (a.File == b.File && a.Line > b.Line) {
+			t.Fatalf("findings out of order at %d: %v then %v", i, a, b)
+		}
+	}
+	blob, err := json.Marshal(fs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(blob, &m); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"file", "line", "rule", "msg"} {
+		if _, ok := m[key]; !ok {
+			t.Errorf("JSON output missing %q: %s", key, blob)
+		}
+	}
+}
+
+// TestLoadRejectsUnparseableSource: a package that does not parse is a
+// load error, not a silent pass.
+func TestLoadRejectsUnparseableSource(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "broken.go"), []byte("package broken\nfunc ("), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewLoader().Load(dir, "broken"); err == nil {
+		t.Error("want a parse error")
+	}
+}
+
+// TestSortFindingsAcrossAnalyzers pins the shared ordering contract on the
+// mixed streams aurochs-vet emits: graph-level findings (line 0, synthetic
+// "graph:"/"fixture:" files) from the graphs and flow analyzers interleave
+// with source findings, and the (file, line, analyzer, rule) key must put
+// a file's flow-* findings in a stable, rule-sorted block. Stability
+// matters: distinct messages sharing a key keep their insertion order.
+func TestSortFindingsAcrossAnalyzers(t *testing.T) {
+	fs := []Finding{
+		{File: "internal/sim/sim.go", Line: 10, Analyzer: "determinism", Rule: "wallclock"},
+		{File: "graph:streamjoin", Line: 0, Analyzer: "graphs", Rule: "order-dependent"},
+		{File: "fixture:flowbad", Line: 0, Analyzer: "flow", Rule: "flow-no-exit", Msg: "second"},
+		{File: "fixture:flowbad", Line: 0, Analyzer: "flow", Rule: "flow-entry-miswired"},
+		{File: "fixture:flowbad", Line: 0, Analyzer: "flow", Rule: "flow-no-exit", Msg: "first"},
+		{File: "graph:streamjoin", Line: 0, Analyzer: "flow", Rule: "flow-uncounted-exit"},
+	}
+	SortFindings(fs)
+	want := []struct {
+		file, analyzer, rule, msg string
+	}{
+		{"fixture:flowbad", "flow", "flow-entry-miswired", ""},
+		{"fixture:flowbad", "flow", "flow-no-exit", "second"},
+		{"fixture:flowbad", "flow", "flow-no-exit", "first"},
+		{"graph:streamjoin", "flow", "flow-uncounted-exit", ""},
+		{"graph:streamjoin", "graphs", "order-dependent", ""},
+		{"internal/sim/sim.go", "determinism", "wallclock", ""},
+	}
+	for i, w := range want {
+		f := fs[i]
+		if f.File != w.file || f.Analyzer != w.analyzer || f.Rule != w.rule || f.Msg != w.msg {
+			t.Fatalf("fs[%d] = %s/%s/%s/%q, want %s/%s/%s/%q",
+				i, f.File, f.Analyzer, f.Rule, f.Msg, w.file, w.analyzer, w.rule, w.msg)
 		}
 	}
 }

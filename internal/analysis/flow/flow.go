@@ -1,8 +1,12 @@
 // Package flow is a token-flow abstract interpreter over fabric link
 // graphs: it tracks per-link token-count intervals and credit obligations
 // through an SCC condensation of the node graph (sim.StronglyConnected,
-// an iterative Tarjan) and proves three properties —
+// an iterative Tarjan) and proves four properties —
 //
+//   - credit sufficiency: every link sustains line rate (cap >= lat+1)
+//     and every cycle's links cover its line-rate occupancy
+//     (Σcap >= Σlat+1); shortfalls are warnings, since an
+//     under-provisioned graph still drains, only slower;
 //   - deadlock freedom: every directed credit cycle admits a schedule in
 //     which some link always has a free slot, because tokens provably
 //     leave the cycle toward drainable consumers;

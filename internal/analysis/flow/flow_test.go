@@ -336,3 +336,46 @@ func TestProveCtlMismatchSuppressesNoExit(t *testing.T) {
 		t.Fatalf("mismatched exits still relieve pressure; no-exit must not fire: %s", rep)
 	}
 }
+
+// ring is cleanLoop with the capacities and latencies of its three
+// cycle-internal edges (body, dec->exit?, recirc) overridden.
+func ring(caps, lats [3]int) *Net {
+	net := cleanLoop()
+	for i, ei := range []int{1, 2, 4} {
+		net.Edges[ei].Cap, net.Edges[ei].Lat = caps[i], lats[i]
+	}
+	return net
+}
+
+// TestProveCreditStarvedRing: a cap-1/lat-1 ring cannot sustain line rate
+// on any internal edge, and its cycle is credit-starved — one warning per
+// edge and one for the cycle, none of them a failed drain obligation.
+func TestProveCreditStarvedRing(t *testing.T) {
+	rep := Prove(ring([3]int{1, 1, 1}, [3]int{1, 1, 1}))
+	if !rep.DeadlockFree() || len(rep.Warnings) != 4 ||
+		countRule(rep.Warnings, RuleLineRate) != 3 || countRule(rep.Warnings, RuleCreditStarved) != 1 {
+		t.Fatalf("want 3 line-rate and 1 credit-starved warnings, no findings: %s", rep)
+	}
+}
+
+// TestProveCreditBoundary: Σcap = Σlat+1 (Slack 1) is exactly enough for
+// the cycle and proves credit-sufficient; Σcap = Σlat (Slack 0) warns. In
+// a three-edge ring every edge at line rate already gives Slack >= 3, so
+// both cases put the deficit on recirc, which warns on its own.
+func TestProveCreditBoundary(t *testing.T) {
+	// Σlat = 1+1+3 = 5; recirc cap 2 gives Σcap 6, cap 1 gives Σcap 5.
+	for _, tc := range []struct{ recircCap, starved int }{{2, 0}, {1, 1}} {
+		rep := Prove(ring([3]int{2, 2, tc.recircCap}, [3]int{1, 1, 3}))
+		proofs := 0
+		for _, p := range rep.Proofs {
+			if strings.HasPrefix(p.Property, "credit-sufficient") {
+				proofs++
+			}
+		}
+		if countRule(rep.Warnings, RuleCreditStarved) != tc.starved || proofs != 1-tc.starved ||
+			countRule(rep.Warnings, RuleLineRate) != 1 {
+			t.Errorf("recirc cap %d: want %d credit-starved, %d credit proofs, 1 line-rate: %s",
+				tc.recircCap, tc.starved, 1-tc.starved, rep)
+		}
+	}
+}

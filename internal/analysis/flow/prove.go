@@ -541,16 +541,34 @@ func (p *prover) stallWitness(rule string, names, blocked []string, explain stri
 }
 
 // occupancy assembles the bounded-occupancy report from the propagated
-// intervals.
+// intervals, and the credit facts from the same per-link and per-cycle
+// capacity sums: a link sustains line rate when cap >= lat+1 (lat flits
+// in flight plus one buffered at the consumer), and a cycle is
+// credit-sufficient when its internal links cover their line-rate
+// occupancy, Σcap >= Σlat+1 (Slack >= 1). Falling short of either is a
+// warning: the graph still drains, just below one flit per cycle.
 func (p *prover) occupancy() {
 	occ := &p.report.Occupancy
 	linkSum := 0
 	for _, ei := range p.edges {
+		e := &p.net.Edges[ei]
 		occ.Links = append(occ.Links, LinkBound{
-			Link:       p.net.Edges[ei].Name,
+			Link:       e.Name,
 			MaxRecords: p.edgeBound[ei],
 		})
 		linkSum += p.edgeBound[ei]
+		if e.Cap >= e.Lat+1 {
+			p.report.Proofs = append(p.report.Proofs, Proof{
+				Subject:  "link " + e.Name,
+				Property: fmt.Sprintf("sustains full line rate (capacity %d >= latency %d + 1)", e.Cap, e.Lat),
+			})
+		} else {
+			p.report.Warnings = append(p.report.Warnings, Finding{
+				Rule: RuleLineRate,
+				Msg: fmt.Sprintf("link %q cannot sustain line rate: capacity %d < latency %d + 1; steady-state throughput is %d/%d flits per cycle",
+					e.Name, e.Cap, e.Lat, e.Cap, e.Lat+1),
+			})
+		}
 	}
 	sort.Slice(occ.Links, func(i, j int) bool { return occ.Links[i].Link < occ.Links[j].Link })
 	for i := range p.net.Nodes {
@@ -562,9 +580,29 @@ func (p *prover) occupancy() {
 			continue
 		}
 		cb := CycleBound{Nodes: p.sccNames(k)}
+		var sumCap, sumLat int
+		links := make([]string, 0, len(p.internal[k]))
 		for _, ei := range p.internal[k] {
+			e := &p.net.Edges[ei]
 			cb.MaxRecords += p.edgeBound[ei]
-			cb.Slack += p.net.Edges[ei].Cap - p.net.Edges[ei].Lat
+			sumCap += e.Cap
+			sumLat += e.Lat
+			links = append(links, e.Name)
+		}
+		cb.Slack = sumCap - sumLat
+		subj, across := subject(cb.Nodes), strings.Join(links, ", ")
+		if cb.Slack >= 1 {
+			p.report.Proofs = append(p.report.Proofs, Proof{
+				Subject: subj,
+				Property: fmt.Sprintf("credit-sufficient: buffering %d >= line-rate occupancy %d + 1 across links [%s]",
+					sumCap, sumLat, across),
+			})
+		} else {
+			p.report.Warnings = append(p.report.Warnings, Finding{
+				Rule: RuleCreditStarved,
+				Msg: fmt.Sprintf("%s is credit-starved: total capacity %d < line-rate occupancy %d + 1 across links [%s]; threads will single-file around the loop",
+					subj, sumCap, sumLat, across),
+			})
 		}
 		for _, i := range p.members[k] {
 			cb.MaxRecords += p.net.Nodes[i].Resident

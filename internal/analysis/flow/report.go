@@ -42,6 +42,15 @@ const (
 	// RuleLossyWaived (waived): a declared-lossy node on a cycle carrying
 	// an audited waiver; surfaced for review, not a failure.
 	RuleLossyWaived = "flow-lossy-waived"
+	// RuleLineRate (warning): a link with capacity < latency+1 cannot
+	// sustain one flit per cycle; steady-state throughput degrades to
+	// cap/(lat+1). The credit protocol still makes progress, so this is a
+	// performance hazard, not a wedge.
+	RuleLineRate = "flow-line-rate"
+	// RuleCreditStarved (warning): a cycle whose internal links cannot
+	// cover its line-rate occupancy (Σcap < Σlat+1, i.e. Slack < 1);
+	// threads single-file around the loop.
+	RuleCreditStarved = "flow-credit-starved"
 )
 
 // WitnessMode says how the simulator fails when the witnessed defect is
@@ -148,8 +157,10 @@ type Report struct {
 	// Findings are failed obligations — each a provable runtime failure,
 	// most carrying a replayable witness.
 	Findings []Finding `json:"findings,omitempty"`
-	// Warnings are modelling gaps (opaque nodes on cycles): the prover
-	// abstains rather than claiming either way.
+	// Warnings are modelling gaps (opaque nodes on cycles), where the
+	// prover abstains rather than claiming either way, and credit
+	// under-provisioning (line rate, starved cycles), where the graph
+	// drains but slowly.
 	Warnings []Finding `json:"warnings,omitempty"`
 	// Waived are accepted-by-declaration findings (audited lossy nodes).
 	Waived []Finding `json:"waived,omitempty"`

@@ -125,10 +125,9 @@ var interfaceContractMethods = map[string]bool{
 // argument carries a "lint:hotalloc-ok" marker on the site or the enclosing
 // declaration.
 var Hotalloc = &Analyzer{
-	Name:       "hotalloc",
-	Doc:        "hot-path functions (Tick, link/queue ops, hot:path roots) must not reach allocation sites",
-	NeedsTypes: true,
-	Run:        runHotalloc,
+	Name: "hotalloc",
+	Doc:  "hot-path functions (Tick, link/queue ops, hot:path roots) must not reach allocation sites",
+	Run:  runHotalloc,
 }
 
 func runHotalloc(pass *Pass) error {

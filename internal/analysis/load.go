@@ -18,11 +18,10 @@ type Package struct {
 	Dir string
 	// Fset positions every file in the loader's shared set.
 	Fset *token.FileSet
-	// Files and Filenames hold the parsed non-test sources, sorted by name.
-	Files     []*ast.File
-	Filenames []string
+	// Files holds the parsed non-test sources, sorted by name.
+	Files []*ast.File
 	// Types and Info are nil when type checking failed; TypeError then says
-	// why. AST-only analyzers still run on such packages.
+	// why, and the driver reports it instead of running analyzers.
 	Types     *types.Package
 	Info      *types.Info
 	TypeError error
@@ -50,8 +49,8 @@ func (ld *Loader) Fset() *token.FileSet { return ld.fset }
 
 // Load parses the non-test .go files directly in dir and type-checks them
 // as one package. Parse errors fail the load (the tree is expected to
-// build); type-check errors are recorded on the package so AST-only rules
-// still run. importPath is used only for error messages and may be the
+// build); type-check errors are recorded on the package for the driver to
+// report. importPath is used only for error messages and may be the
 // directory itself.
 func (ld *Loader) Load(dir, importPath string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
@@ -75,7 +74,6 @@ func (ld *Loader) Load(dir, importPath string) (*Package, error) {
 			return nil, err
 		}
 		pkg.Files = append(pkg.Files, f)
-		pkg.Filenames = append(pkg.Filenames, path)
 	}
 	if len(pkg.Files) == 0 {
 		return pkg, nil

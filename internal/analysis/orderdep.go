@@ -34,10 +34,9 @@ const OrderdepWaiver = "lint:orderdep-ok"
 // that every order-dependent RMW in the tree carries a reviewable
 // justification at the site that declares it.
 var Orderdep = &Analyzer{
-	Name:       "orderdep",
-	Doc:        "order-dependent spad.Spec RMWs must declare a commutative combiner, disjoint addresses, or a waiver",
-	NeedsTypes: true,
-	Run:        runOrderdep,
+	Name: "orderdep",
+	Doc:  "order-dependent spad.Spec RMWs must declare a commutative combiner, disjoint addresses, or a waiver",
+	Run:  runOrderdep,
 }
 
 func runOrderdep(pass *Pass) error {

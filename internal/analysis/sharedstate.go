@@ -36,10 +36,9 @@ const SharedStateWaiver = "lint:sharedstate-ok"
 // SharedState body mentions the field, or when the field's declaration or
 // the external assignment carries a "lint:sharedstate-ok" waiver.
 var SharedState = &Analyzer{
-	Name:       "sharedstate",
-	Doc:        "components aliasing external mutable state must declare it via SharedState()",
-	NeedsTypes: true,
-	Run:        runSharedState,
+	Name: "sharedstate",
+	Doc:  "components aliasing external mutable state must declare it via SharedState()",
+	Run:  runSharedState,
 }
 
 // runSharedState drives the rule over one package.

@@ -1,5 +1,7 @@
-// Package bad is a lint fixture: every function violates one rule.
-package bad
+// Package detbad is a determinism fixture: every function violates one
+// rule. Every violation here is counted by TestDetBadFixture; update both
+// together.
+package detbad
 
 import (
 	"fmt"
@@ -46,8 +48,7 @@ func (h *holder) first() uint32 {
 
 // mapOrderLaundered violates maprange inside a closure: the genuine sort.*
 // call later in the enclosing function must not sanction the closure's bare
-// iteration — the sanction is scoped to the innermost function. (The old
-// per-declaration sanction accepted this.)
+// iteration — the sanction is scoped to the innermost function.
 func mapOrderLaundered() (func() int64, []string) {
 	f := func() int64 {
 		var total int64
@@ -59,6 +60,32 @@ func mapOrderLaundered() (func() int64, []string) {
 	keys := []string{"b", "a"}
 	sort.Strings(keys)
 	return f, keys
+}
+
+// groupCounts returns a map; ranging over the call result directly is the
+// Q6 GroupCount shape (DESIGN.md §6) that a declaration-matching heuristic
+// cannot see.
+func groupCounts() map[uint32]int64 { return map[uint32]int64{1: 2} }
+
+// mapOrderCall violates maprange over a call result.
+func mapOrderCall() []uint32 {
+	var out []uint32
+	for k := range groupCounts() {
+		out = append(out, k)
+	}
+	return out
+}
+
+// idSet is a named map type: the range expression's declared type is an
+// identifier, not a map literal type.
+type idSet map[uint32]struct{}
+
+// mapOrderNamed violates maprange over a named map type.
+func mapOrderNamed(ids idSet) uint32 {
+	for id := range ids {
+		return id
+	}
+	return 0
 }
 
 // printy violates the print rule.

@@ -1,6 +1,6 @@
-// Package clean is a lint fixture: every function uses the sanctioned form
-// of a pattern the linter would otherwise flag.
-package clean
+// Package detclean is a determinism fixture: every function uses the
+// sanctioned form of a pattern the determinism rules would otherwise flag.
+package detclean
 
 import (
 	"fmt"
@@ -71,7 +71,16 @@ var pkgLevelSorted = func() []string {
 	return keys
 }
 
-// slices ranges over non-maps; the maprange heuristic must stay quiet.
+// index declares a map field named rows; the slice parameter of the same
+// name below is still a slice.
+type index struct {
+	rows map[int]int
+}
+
+func (ix *index) get(k int) int { return ix.rows[k] }
+
+// slices ranges over non-maps — one sharing its name with a map field
+// declared above; maprange must judge the expression's type, not its name.
 func slices(rows []int, open [4]bool) int {
 	total := 0
 	for _, r := range rows {

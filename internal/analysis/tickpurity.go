@@ -61,10 +61,9 @@ var knownPureCalls = map[string]bool{
 // sanctioned impurity (one whose effect is invisible to results) carries a
 // "lint:tickpure-ok" waiver on the method declaration.
 var TickPurity = &Analyzer{
-	Name:       "tickpurity",
-	Doc:        "kernel observation methods (Idle/CanPush/Done/Drained/Empty/Stats) must be observably pure",
-	NeedsTypes: true,
-	Run:        runTickPurity,
+	Name: "tickpurity",
+	Doc:  "kernel observation methods (Idle/CanPush/Done/Drained/Empty/Stats) must be observably pure",
+	Run:  runTickPurity,
 }
 
 func runTickPurity(pass *Pass) error {

@@ -83,10 +83,9 @@ var pureFieldObservers = map[string]bool{
 // the point is that every unannounced mutation of wake-relevant state in the
 // tree has a justification a reviewer can audit.
 var Wakeprop = &Analyzer{
-	Name:       "wakeprop",
-	Doc:        "writes to Idle/Done-observed state outside Tick must reach a wake notification (link op, partner tick, or waiver)",
-	NeedsTypes: true,
-	Run:        runWakeprop,
+	Name: "wakeprop",
+	Doc:  "writes to Idle/Done-observed state outside Tick must reach a wake notification (link op, partner tick, or waiver)",
+	Run:  runWakeprop,
 }
 
 func runWakeprop(pass *Pass) error {

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"aurochs/internal/analysis/flow"
@@ -17,7 +18,8 @@ import (
 // TestAllBlueprintsProveClean is the acceptance gate for the static
 // provers: every registered kernel topology must pass Graph.Check and
 // come out of Graph.ProveWith(RequireSchemas) with zero warnings —
-// line-rate and credit sufficiency proven on every link and cycle, every
+// line rate proven on every link, credit sufficiency, deadlock freedom
+// and drain on every cycle, every
 // link schema-typed at both ends, and every stateful effect classified
 // reorder-safe (or carrying an explicit waiver, which the test reports).
 // A regression here means a shipped graph acquired a flow-control hazard,
@@ -39,7 +41,7 @@ func TestAllBlueprintsProveClean(t *testing.T) {
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
-			rep, err := g.ProveWith(fabric.ProveOptions{RequireSchemas: true, RequireDeadlockFree: true})
+			rep, err := g.ProveWith(fabric.ProveOptions{RequireSchemas: true})
 			if err != nil {
 				t.Fatalf("prove: %v", err)
 			}
@@ -54,6 +56,19 @@ func TestAllBlueprintsProveClean(t *testing.T) {
 			}
 			if rep.Flow.Occupancy.Total <= 0 {
 				t.Fatalf("no occupancy bound: %+v", rep.Flow.Occupancy)
+			}
+			lineRate, credit := 0, 0
+			for _, p := range rep.Proofs {
+				if strings.HasPrefix(p.Property, "sustains full line rate") {
+					lineRate++
+				}
+				if strings.HasPrefix(p.Property, "credit-sufficient") {
+					credit++
+				}
+			}
+			if lineRate != len(g.Sys.Links()) || credit != len(rep.Flow.Occupancy.Cycles) {
+				t.Fatalf("%d line-rate proofs for %d links, %d credit proofs for %d cycles:\n%s",
+					lineRate, len(g.Sys.Links()), credit, len(rep.Flow.Occupancy.Cycles), rep)
 			}
 			for _, w := range rep.Waived {
 				t.Logf("waived: %s", w.Msg)
@@ -209,7 +224,7 @@ func TestOccupancyGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: build: %v", bp.Name, err)
 		}
-		rep, err := g.ProveWith(fabric.ProveOptions{RequireDeadlockFree: true})
+		rep, err := g.Prove()
 		if err != nil {
 			t.Fatalf("%s: prove: %v", bp.Name, err)
 		}

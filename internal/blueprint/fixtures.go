@@ -10,7 +10,7 @@ import (
 // must reject — and whose wedge witness must reproduce against the real
 // simulator — and a positive fixture it must pass. aurochs-vet's -fixture
 // flag vets one by name, which is how CI keeps a live negative gate on the
-// -flow analyzer without shipping a broken blueprint in the registry.
+// flow analyzer without shipping a broken blueprint in the registry.
 
 // Fixture is one registered prover-exercise topology.
 type Fixture struct {

@@ -54,6 +54,12 @@ const (
 	// DiagNoLoopCtl: a cycle with no loop-entry Merge (NewLoopMerge) to run
 	// the drain protocol.
 	DiagNoLoopCtl DiagCode = "cycle-no-loopctl"
+	// DiagLoopEntryMiswired: a NewLoopMerge whose priority (recirculating)
+	// input is not fed from its own cycle, or whose external input is —
+	// the classic swapped-argument bug. The drain protocol counts entries
+	// on the wrong stream, so Inflight never returns to zero and the
+	// stream-end token never enters the loop: provable deadlock.
+	DiagLoopEntryMiswired DiagCode = "loop-entry-miswired"
 )
 
 // Diag is one verification finding.
@@ -97,15 +103,15 @@ type linkEnds struct {
 	consumers []int
 }
 
-// Check statically verifies the wired graph and returns a *CheckError
-// listing every defect found, or nil when the topology is sound. Run calls
-// it automatically; call it directly to validate a graph without
-// simulating.
-func (g *Graph) Check() error {
-	diags := append([]Diag(nil), g.defects...)
-
-	// Deduplicate registrations. Attribution below uses the unique set so a
-	// double-added node is reported once, not as a phantom fan-in.
+// attribute deduplicates the registered components and attributes every
+// link to the components producing and consuming it, by index into the
+// deduplicated list, so a double-added node is one node rather than a
+// phantom fan-in. A component listing the same link twice on one side
+// counts once. Duplicate registrations and nil ports are skipped and
+// returned as diagnostics: Check reports them, FlowNet and ProveWith
+// (which run on checked or deliberately unchecked graphs) ignore them.
+func (g *Graph) attribute() ([]sim.Component, map[*sim.Link]*linkEnds, []Diag) {
+	var diags []Diag
 	var comps []sim.Component
 	seen := make(map[sim.Component]bool)
 	for _, c := range g.Sys.Components() {
@@ -117,6 +123,47 @@ func (g *Graph) Check() error {
 		seen[c] = true
 		comps = append(comps, c)
 	}
+	ends := make(map[*sim.Link]*linkEnds)
+	claim := func(c sim.Component, links []*sim.Link, side string, add func(*linkEnds)) {
+		claimed := make(map[*sim.Link]bool)
+		for _, l := range links {
+			if l == nil {
+				diags = append(diags, Diag{DiagNilLink,
+					fmt.Sprintf("node %q has a nil %s link", c.Name(), side)})
+				continue
+			}
+			if claimed[l] {
+				continue
+			}
+			claimed[l] = true
+			e := ends[l]
+			if e == nil {
+				e = &linkEnds{}
+				ends[l] = e
+			}
+			add(e)
+		}
+	}
+	for i, c := range comps {
+		if op, ok := c.(sim.OutputPorts); ok {
+			claim(c, op.OutputLinks(), "output", func(e *linkEnds) { e.producers = append(e.producers, i) })
+		}
+		if ip, ok := c.(sim.InputPorts); ok {
+			claim(c, ip.InputLinks(), "input", func(e *linkEnds) { e.consumers = append(e.consumers, i) })
+		}
+	}
+	return comps, ends, diags
+}
+
+// Check statically verifies the wired graph and returns a *CheckError
+// listing every defect found, or nil when the topology is sound. Run calls
+// it automatically; call it directly to validate a graph without
+// simulating.
+func (g *Graph) Check() error {
+	diags := append([]Diag(nil), g.defects...)
+
+	comps, ends, regDiags := g.attribute()
+	diags = append(diags, regDiags...)
 
 	nameCount := make(map[string]int)
 	for _, c := range comps {
@@ -132,48 +179,6 @@ func (g *Graph) Check() error {
 	for _, name := range dupNames {
 		diags = append(diags, Diag{DiagDupName,
 			fmt.Sprintf("%d components share the name %q", nameCount[name], name)})
-	}
-
-	// Attribute every link to its producing and consuming components. A
-	// component listing the same link twice on one side counts once.
-	ends := make(map[*sim.Link]*linkEnds)
-	at := func(l *sim.Link) *linkEnds {
-		e := ends[l]
-		if e == nil {
-			e = &linkEnds{}
-			ends[l] = e
-		}
-		return e
-	}
-	for i, c := range comps {
-		if op, ok := c.(sim.OutputPorts); ok {
-			claimed := make(map[*sim.Link]bool)
-			for _, l := range op.OutputLinks() {
-				if l == nil {
-					diags = append(diags, Diag{DiagNilLink,
-						fmt.Sprintf("node %q has a nil output link", c.Name())})
-					continue
-				}
-				if !claimed[l] {
-					claimed[l] = true
-					at(l).producers = append(at(l).producers, i)
-				}
-			}
-		}
-		if ip, ok := c.(sim.InputPorts); ok {
-			claimed := make(map[*sim.Link]bool)
-			for _, l := range ip.InputLinks() {
-				if l == nil {
-					diags = append(diags, Diag{DiagNilLink,
-						fmt.Sprintf("node %q has a nil input link", c.Name())})
-					continue
-				}
-				if !claimed[l] {
-					claimed[l] = true
-					at(l).consumers = append(at(l).consumers, i)
-				}
-			}
-		}
 	}
 
 	names := func(idx []int) string {
@@ -244,7 +249,7 @@ func (g *Graph) Check() error {
 // leave the cycle and the simulation deadlocks after the work is done.
 func (g *Graph) checkCycles(comps []sim.Component, ends map[*sim.Link]*linkEnds) []Diag {
 	n := len(comps)
-	adj := make([][]int, n)
+	adj := make([][]int32, n)
 	selfLoop := make([]bool, n)
 	// Links() is creation-ordered, so edge lists — and therefore SCC
 	// numbering — are deterministic.
@@ -258,14 +263,20 @@ func (g *Graph) checkCycles(comps []sim.Component, ends map[*sim.Link]*linkEnds)
 				if p == c {
 					selfLoop[p] = true
 				}
-				adj[p] = append(adj[p], c)
+				adj[p] = append(adj[p], int32(c))
 			}
 		}
+	}
+	// The same iterative Tarjan the token-flow prover condenses with.
+	of, count := sim.StronglyConnected(adj)
+	sccs := make([][]int, count)
+	for i, k := range of {
+		sccs[k] = append(sccs[k], i) // ascending i keeps members sorted
 	}
 
 	var diags []Diag
 	inCycle := make([]int, n) // 1+scc ordinal when the node is on a real cycle
-	for si, scc := range tarjanSCC(adj) {
+	for si, scc := range sccs {
 		if len(scc) == 1 && !selfLoop[scc[0]] {
 			continue
 		}
@@ -335,29 +346,4 @@ func (g *Graph) checkLoopEntries(comps []sim.Component, ends map[*sim.Link]*link
 		}
 	}
 	return diags
-}
-
-// tarjanSCC returns the strongly connected components of adj, grouped and
-// ordered by sim.StronglyConnected's emission numbering (a reverse
-// topological order of the condensation), with members ascending. This
-// checker and the token-flow prover both condense through the same
-// iterative Tarjan in internal/sim.
-func tarjanSCC(adj [][]int) [][]int {
-	a32 := make([][]int32, len(adj))
-	for i, row := range adj {
-		if len(row) == 0 {
-			continue
-		}
-		r := make([]int32, len(row))
-		for j, w := range row {
-			r[j] = int32(w)
-		}
-		a32[i] = r
-	}
-	of, count := sim.StronglyConnected(a32)
-	sccs := make([][]int, count)
-	for i, c := range of {
-		sccs[c] = append(sccs[c], i) // ascending i keeps members sorted
-	}
-	return sccs
 }

@@ -218,7 +218,7 @@ func TestFlowWitnessReplay(t *testing.T) {
 // same record count a wedge witness would inject.
 func TestFlowCleanLoopsProveAndDrain(t *testing.T) {
 	g := chainedCleanLoops(8)
-	rep, err := g.ProveWith(ProveOptions{RequireDeadlockFree: true})
+	rep, err := g.Prove()
 	if err != nil {
 		t.Fatalf("prove: %v", err)
 	}

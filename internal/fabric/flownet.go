@@ -15,7 +15,7 @@ import (
 // — components in registration order, links in creation order — so
 // witnesses and occupancy reports are stable across runs.
 func (g *Graph) FlowNet() *flow.Net {
-	comps, ends := g.topology()
+	comps, ends, _ := g.attribute()
 	net := &flow.Net{Lanes: record.NumLanes}
 
 	// Loop controls get dense ids in first-encounter order over the
@@ -67,7 +67,7 @@ func (g *Graph) FlowNet() *flow.Net {
 			// Route may return -1; with a loop control those kills are
 			// counted exits (drainPipe calls ctl.Exit). Without one the
 			// wiring discipline is that the route never kills — see the
-			// trust policy in DESIGN.md §14.
+			// trust policy in DESIGN.md §12.
 			nd.CanKill = v.ctl != nil
 			nd.Resident = (PipelineDepth+2)*record.NumLanes + len(v.outs)*3*record.NumLanes
 		case *Merge:

@@ -6,40 +6,16 @@ import (
 	"strings"
 
 	"aurochs/internal/analysis/flow"
-	"aurochs/internal/sim"
 )
 
-// This file is the credit prover half of aurochs-vet's graph analysis:
-// where check.go rejects malformed topologies, Prove establishes the
-// quantitative flow-control facts a sound graph is entitled to — per-link
-// line-rate capacity and per-cycle credit sufficiency — and reports the
-// configurations it cannot prove as warnings. The distinction is
-// deliberate: an under-provisioned link or loop still makes forward
-// progress under the credit protocol (TestLoopBackpressureUnderTinyLinks
-// drains a cap=1 ring to completion), it just cannot sustain one flit per
-// cycle, so these are performance proofs, not safety gates. The one new
-// genuinely-fatal topology — a loop-entry Merge whose recirculating input
-// does not close its cycle — is a Check error (DiagLoopEntryMiswired),
-// because the drain protocol then waits on an in-flight count that can
-// never reach zero.
-
-// The prover's diagnostic classes. DiagLoopEntryMiswired is a hard Check
-// error; the other two are Prove warnings.
-const (
-	// DiagLoopEntryMiswired: a NewLoopMerge whose priority (recirculating)
-	// input is not fed from its own cycle, or whose external input is —
-	// the classic swapped-argument bug. The drain protocol counts entries
-	// on the wrong stream, so Inflight never returns to zero and the
-	// stream-end token never enters the loop: provable deadlock.
-	DiagLoopEntryMiswired DiagCode = "loop-entry-miswired"
-	// DiagLineRate: a link with capacity < latency+1 cannot sustain one
-	// flit per cycle; steady-state throughput degrades to cap/(lat+1).
-	DiagLineRate DiagCode = "line-rate"
-	// DiagCreditStarved: a recirculating cycle whose total link capacity
-	// cannot cover the cycle's in-flight occupancy at line rate
-	// (sum(cap) < sum(lat)+1); threads single-file around the loop.
-	DiagCreditStarved DiagCode = "credit-starved"
-)
+// This file is the prover half of aurochs-vet's graph analysis: where
+// check.go rejects malformed topologies, Prove establishes what a sound
+// graph is entitled to — schema and reorder facts here, and through the
+// token-flow prover (internal/analysis/flow) line rate, credit
+// sufficiency, deadlock freedom, loop drain and bounded occupancy — and
+// reports what it cannot prove as warnings. Credit shortfalls are
+// performance facts, not safety gates: a cap=1 ring still drains
+// (TestLoopBackpressureUnderTinyLinks), just below one flit per cycle.
 
 // Proof is one positive fact the prover established about the graph.
 type Proof struct {
@@ -54,10 +30,10 @@ type Proof struct {
 type ProofReport struct {
 	// Proofs are the established facts, in deterministic order.
 	Proofs []Proof `json:"proofs"`
-	// Warnings are provable performance hazards (line-rate, credit
-	// starvation) and — under ProveOptions.RequireSchemas — untyped link
-	// endpoints. The graph still runs to completion; it runs slowly or
-	// unchecked.
+	// Warnings are the flow prover's failed obligations and hazards
+	// (flow-* codes: wedges and drain defects, line-rate and credit
+	// starvation, opaque cycles) and — under ProveOptions.RequireSchemas —
+	// untyped link endpoints.
 	Warnings []Diag `json:"warnings,omitempty"`
 	// Waived lists the order-dependent effects accepted on the strength of
 	// an explicit waiver (spad.Spec.OrderWaiver or a ReorderDecl.Waiver),
@@ -66,8 +42,8 @@ type ProofReport struct {
 	// justification — but they are surfaced in every report so the audit
 	// trail stays visible.
 	Waived []Diag `json:"waived,omitempty"`
-	// Flow is the token-flow prover's full report (occupancy bounds and
-	// witnesses included), present under ProveOptions.RequireDeadlockFree.
+	// Flow is the token-flow prover's full report, occupancy bounds and
+	// replayable wedge witnesses included.
 	Flow *flow.Report `json:"flow,omitempty"`
 }
 
@@ -97,24 +73,18 @@ type ProveOptions struct {
 	// warnings instead of being silently skipped. This is the -schemas
 	// gate of aurochs-vet; shipped blueprints must pass it.
 	RequireSchemas bool
-	// RequireDeadlockFree runs the token-flow abstract interpreter
-	// (internal/analysis/flow) over the link graph: every cycle must prove
-	// deadlock freedom and drain completeness, and the graph gets a static
-	// occupancy bound. Failed obligations surface as warnings carrying the
-	// flow-* rule as their code; the full report — including replayable
-	// wedge witnesses — lands in ProofReport.Flow. This is the -flow gate
-	// of aurochs-vet; shipped blueprints must pass it.
-	RequireDeadlockFree bool
 }
 
-// Prove statically verifies the graph's flow-control provisioning. It
-// first runs Check — proofs about a malformed topology would be vacuous —
-// and returns its *CheckError unchanged if the structure is unsound.
-// Otherwise it returns a report establishing, per link, whether the
-// credit loop sustains full line rate (capacity >= latency+1: the link
-// holds latency flits in flight plus one buffered at the consumer), and
-// per recirculating cycle, whether total buffering covers the cycle's
-// line-rate occupancy (sum of capacities >= sum of latencies + 1).
+// Prove statically verifies the graph. It first runs Check — proofs about
+// a malformed topology would be vacuous — and returns its *CheckError
+// unchanged if the structure is unsound. Otherwise it returns a report
+// combining the schema and reorder facts with the token-flow prover's:
+// per link, whether the credit loop sustains full line rate (capacity >=
+// latency+1: the link holds latency flits in flight plus one buffered at
+// the consumer); per recirculating cycle, whether total buffering covers
+// the cycle's line-rate occupancy (sum of capacities >= sum of latencies
+// + 1) and whether it is deadlock-free and drains; and the graph-wide
+// occupancy bound.
 func (g *Graph) Prove() (*ProofReport, error) {
 	return g.ProveWith(ProveOptions{})
 }
@@ -125,90 +95,22 @@ func (g *Graph) ProveWith(opt ProveOptions) (*ProofReport, error) {
 		return nil, err
 	}
 	report := &ProofReport{}
-
-	for _, l := range g.Sys.Links() {
-		cap, lat := l.Capacity(), l.Latency()
-		if cap >= lat+1 {
-			report.Proofs = append(report.Proofs, Proof{
-				Subject: "link " + l.Name(),
-				Property: fmt.Sprintf("sustains full line rate (capacity %d >= latency %d + 1)",
-					cap, lat),
-			})
-		} else {
-			report.Warnings = append(report.Warnings, Diag{DiagLineRate,
-				fmt.Sprintf("link %q cannot sustain line rate: capacity %d < latency %d + 1; steady-state throughput is %d/%d flits per cycle",
-					l.Name(), cap, lat, cap, lat+1)})
-		}
-	}
-
-	comps, ends := g.topology()
-	cycles := 0
-	for _, scc := range nontrivialSCCs(g, comps, ends) {
-		cycles++
-		member := make(map[int]bool, len(scc))
-		for _, i := range scc {
-			member[i] = true
-		}
-		// A cycle's standing occupancy at line rate is one flit per
-		// latency stage of every link both of whose endpoints lie inside
-		// the component; credits beyond that are what lets a node pop and
-		// push in the same cycle.
-		var sumCap, sumLat int
-		var linkNames []string
-		for _, l := range g.Sys.Links() {
-			e := ends[l]
-			if e == nil || len(e.producers) != 1 || len(e.consumers) != 1 {
-				continue
-			}
-			if member[e.producers[0]] && member[e.consumers[0]] {
-				sumCap += l.Capacity()
-				sumLat += l.Latency()
-				linkNames = append(linkNames, l.Name())
-			}
-		}
-		names := make([]string, len(scc))
-		for i, k := range scc {
-			names[i] = comps[k].Name()
-		}
-		sort.Strings(names)
-		subject := "cycle [" + strings.Join(names, ", ") + "]"
-		if sumCap >= sumLat+1 {
-			report.Proofs = append(report.Proofs, Proof{
-				Subject: subject,
-				Property: fmt.Sprintf("credit-sufficient: buffering %d >= line-rate occupancy %d + 1 across links [%s]",
-					sumCap, sumLat, strings.Join(linkNames, ", ")),
-			})
-		} else {
-			report.Warnings = append(report.Warnings, Diag{DiagCreditStarved,
-				fmt.Sprintf("%s is credit-starved: total capacity %d < line-rate occupancy %d + 1 across links [%s]; threads will single-file around the loop",
-					subject, sumCap, sumLat, strings.Join(linkNames, ", "))})
-		}
-	}
-	if cycles == 0 {
-		report.Proofs = append(report.Proofs, Proof{
-			Subject:  "graph",
-			Property: "acyclic: every flit path is finite, so draining the sources drains the graph",
-		})
-	}
-
+	comps, ends, _ := g.attribute()
 	g.proveSchemas(report, comps, ends, opt)
 	g.proveReorder(report, comps)
 
-	if opt.RequireDeadlockFree {
-		fr := g.ProveFlow()
-		report.Flow = fr
-		for _, p := range fr.Proofs {
-			report.Proofs = append(report.Proofs, Proof{Subject: p.Subject, Property: p.Property})
-		}
-		for _, f := range fr.Findings {
+	fr := g.ProveFlow()
+	report.Flow = fr
+	for _, p := range fr.Proofs {
+		report.Proofs = append(report.Proofs, Proof{Subject: p.Subject, Property: p.Property})
+	}
+	for _, fs := range [][]flow.Finding{fr.Findings, fr.Warnings} {
+		for _, f := range fs {
 			report.Warnings = append(report.Warnings, Diag{DiagCode(f.Rule), f.Msg})
 		}
-		for _, f := range fr.Warnings {
-			report.Warnings = append(report.Warnings, Diag{DiagCode(f.Rule), f.Msg})
-		}
-		for _, f := range fr.Waived {
-			report.Waived = append(report.Waived, Diag{DiagCode(f.Rule), f.Msg})
-		}
+	}
+	for _, f := range fr.Waived {
+		report.Waived = append(report.Waived, Diag{DiagCode(f.Rule), f.Msg})
 	}
 
 	sort.Slice(report.Proofs, func(i, j int) bool {
@@ -217,90 +119,15 @@ func (g *Graph) ProveWith(opt ProveOptions) (*ProofReport, error) {
 		}
 		return report.Proofs[i].Property < report.Proofs[j].Property
 	})
-	sort.Slice(report.Warnings, func(i, j int) bool {
-		if report.Warnings[i].Code != report.Warnings[j].Code {
-			return report.Warnings[i].Code < report.Warnings[j].Code
+	byCode := func(ds []Diag) func(i, j int) bool {
+		return func(i, j int) bool {
+			if ds[i].Code != ds[j].Code {
+				return ds[i].Code < ds[j].Code
+			}
+			return ds[i].Msg < ds[j].Msg
 		}
-		return report.Warnings[i].Msg < report.Warnings[j].Msg
-	})
-	sort.Slice(report.Waived, func(i, j int) bool {
-		if report.Waived[i].Code != report.Waived[j].Code {
-			return report.Waived[i].Code < report.Waived[j].Code
-		}
-		return report.Waived[i].Msg < report.Waived[j].Msg
-	})
+	}
+	sort.Slice(report.Warnings, byCode(report.Warnings))
+	sort.Slice(report.Waived, byCode(report.Waived))
 	return report, nil
-}
-
-// topology rebuilds the deduplicated component list and link attribution
-// exactly as Check does, for analyses that run after Check has passed.
-func (g *Graph) topology() ([]sim.Component, map[*sim.Link]*linkEnds) {
-	var comps []sim.Component
-	seen := make(map[sim.Component]bool)
-	for _, c := range g.Sys.Components() {
-		if !seen[c] {
-			seen[c] = true
-			comps = append(comps, c)
-		}
-	}
-	ends := make(map[*sim.Link]*linkEnds)
-	at := func(l *sim.Link) *linkEnds {
-		e := ends[l]
-		if e == nil {
-			e = &linkEnds{}
-			ends[l] = e
-		}
-		return e
-	}
-	for i, c := range comps {
-		if op, ok := c.(sim.OutputPorts); ok {
-			claimed := make(map[*sim.Link]bool)
-			for _, l := range op.OutputLinks() {
-				if l != nil && !claimed[l] {
-					claimed[l] = true
-					at(l).producers = append(at(l).producers, i)
-				}
-			}
-		}
-		if ip, ok := c.(sim.InputPorts); ok {
-			claimed := make(map[*sim.Link]bool)
-			for _, l := range ip.InputLinks() {
-				if l != nil && !claimed[l] {
-					claimed[l] = true
-					at(l).consumers = append(at(l).consumers, i)
-				}
-			}
-		}
-	}
-	return comps, ends
-}
-
-// nontrivialSCCs returns the strongly connected components with at least
-// one internal edge (real cycles), using the same deterministic edge
-// ordering as checkCycles.
-func nontrivialSCCs(g *Graph, comps []sim.Component, ends map[*sim.Link]*linkEnds) [][]int {
-	n := len(comps)
-	adj := make([][]int, n)
-	selfLoop := make([]bool, n)
-	for _, l := range g.Sys.Links() {
-		e := ends[l]
-		if e == nil {
-			continue
-		}
-		for _, p := range e.producers {
-			for _, c := range e.consumers {
-				if p == c {
-					selfLoop[p] = true
-				}
-				adj[p] = append(adj[p], c)
-			}
-		}
-	}
-	var out [][]int
-	for _, scc := range tarjanSCC(adj) {
-		if len(scc) > 1 || selfLoop[scc[0]] {
-			out = append(out, scc)
-		}
-	}
-	return out
 }

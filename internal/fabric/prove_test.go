@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"aurochs/internal/analysis/flow"
 	"aurochs/internal/record"
 	"aurochs/internal/sim"
 )
@@ -42,8 +43,9 @@ func countdownLoop(g *Graph, mkLink func(string) *sim.Link, swap bool) *Sink {
 }
 
 // TestProveWellProvisionedLoop: at the default capacity/latency every
-// obligation is proven — full line rate on each link and credit
-// sufficiency around the cycle — with zero warnings.
+// obligation is proven — full line rate on each link, credit sufficiency,
+// deadlock freedom and drain around the cycle, and the occupancy bound —
+// with zero warnings.
 func TestProveWellProvisionedLoop(t *testing.T) {
 	g := NewGraph()
 	countdownLoop(g, g.Link, false)
@@ -54,9 +56,10 @@ func TestProveWellProvisionedLoop(t *testing.T) {
 	if !report.Clean() {
 		t.Fatalf("default provisioning should prove clean:\n%s", report)
 	}
-	// 5 link proofs + 1 cycle proof.
-	if len(report.Proofs) != 6 {
-		t.Fatalf("want 6 proofs, got %d:\n%s", len(report.Proofs), report)
+	// 5 line-rate proofs, 3 cycle proofs (credit-sufficient, deadlock-free,
+	// loop-drain), and the occupancy bound.
+	if len(report.Proofs) != 9 {
+		t.Fatalf("want 9 proofs, got %d:\n%s", len(report.Proofs), report)
 	}
 	var sawCycle bool
 	for _, p := range report.Proofs {
@@ -85,10 +88,10 @@ func TestProveUnderProvisionedLoop(t *testing.T) {
 	}
 	lineRate, starved := 0, 0
 	for _, w := range report.Warnings {
-		switch w.Code {
-		case DiagLineRate:
+		switch string(w.Code) {
+		case flow.RuleLineRate:
 			lineRate++
-		case DiagCreditStarved:
+		case flow.RuleCreditStarved:
 			starved++
 		}
 	}
@@ -97,6 +100,9 @@ func TestProveUnderProvisionedLoop(t *testing.T) {
 	}
 	if starved != 1 {
 		t.Errorf("want 1 credit-starved warning for the cycle, got %d:\n%s", starved, report)
+	}
+	if len(report.Warnings) != lineRate+starved {
+		t.Errorf("under-provisioning raised other warnings:\n%s", report)
 	}
 	// The warnings are performance facts, not deadlocks: the loop drains.
 	if _, err := g.Run(1_000_000); err != nil {
@@ -124,7 +130,7 @@ func TestProveAcyclicPipeline(t *testing.T) {
 	}
 	found := false
 	for _, p := range report.Proofs {
-		if p.Subject == "graph" && strings.Contains(p.Property, "acyclic") {
+		if p.Subject == "token-flow" && strings.Contains(p.Property, "acyclic") {
 			found = true
 		}
 	}
