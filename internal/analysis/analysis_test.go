@@ -217,6 +217,32 @@ func TestDetBadFixture(t *testing.T) {
 	}
 }
 
+// TestDeterminismAdapter: the determinism rules report identically through
+// the driver when it runs them alongside every other analyzer — one Run
+// over the fixture yields exactly the findings Determinism yields alone.
+func TestDeterminismAdapter(t *testing.T) {
+	pkg := loadFixture(t, "detbad")
+	alone := runAnalyzers(t, pkg, Determinism)
+	mixed := runAnalyzers(t, pkg, SharedState, TickPurity, Orderdep, Wakeprop, Hotalloc, Determinism)
+	var got []Finding
+	for _, f := range mixed {
+		if f.Analyzer == "determinism" {
+			got = append(got, f)
+		}
+	}
+	if len(alone) == 0 {
+		t.Fatal("Determinism reported nothing on the bad fixture")
+	}
+	if len(got) != len(alone) {
+		t.Fatalf("determinism findings: got %d mixed, %d alone\nmixed: %v\nalone: %v", len(got), len(alone), got, alone)
+	}
+	for i := range alone {
+		if got[i] != alone[i] {
+			t.Errorf("finding %d differs: mixed %v, alone %v", i, got[i], alone[i])
+		}
+	}
+}
+
 // TestDetCleanFixture: sanctioned idioms — collect-then-sort, the maprange
 // waiver, seeded rand, fmt.Sprintf/Errorf, slice and array ranges — produce
 // no findings.
