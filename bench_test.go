@@ -294,7 +294,7 @@ func BenchmarkKernelSpatialJoin(b *testing.B) {
 	tb := mkTree(1500, core.RegionTables+(1<<24))
 	var cycles int64
 	for i := 0; i < b.N; i++ {
-		pairs, res, err := core.RTreeSpatialJoin(ta, tb, core.Tuning{})
+		pairs, res, err := core.RTreeSpatialJoin(ta, tb)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -322,7 +322,7 @@ func BenchmarkKernelBTreeRange(b *testing.B) {
 	}
 	var cycles int64
 	for i := 0; i < b.N; i++ {
-		_, res, err := core.BTreeSearchP(tr, queries, core.Tuning{}, 4)
+		_, res, err := core.BTreeSearch(tr, queries, 4)
 		if err != nil {
 			b.Fatal(err)
 		}

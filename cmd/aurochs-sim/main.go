@@ -94,7 +94,7 @@ func main() {
 			queries[i] = core.RangeQuery{Lo: lo, Hi: lo + 1<<20, Tag: uint32(i)}
 		}
 		var hits []record.Rec
-		hits, res, err = core.BTreeSearch(tr, queries, tun)
+		hits, res, err = core.BTreeSearch(tr, queries, 1)
 		extra = fmt.Sprintf("hits=%d height=%d", len(hits), tr.Height)
 	default:
 		log.Fatalf("unknown kernel %q", *kernel)

@@ -23,10 +23,10 @@ const SharedStateWaiver = "lint:sharedstate-ok"
 // A field is suspect when both hold:
 //
 //   - its type can reach mutable non-link heap state (a pointer to a named
-//     type other than sim.Link or sim.Stats, a map, or a channel — slices,
-//     arrays and structs are traversed; funcs are exempt because datapath
-//     closures are covered by the single-pipeline ordering argument in
-//     fabric.Map's doc);
+//     type other than sim.Link, sim.Stats or record.Schema, a map, or a
+//     channel — slices, arrays and structs are traversed; funcs are exempt
+//     because datapath closures are covered by the single-pipeline ordering
+//     argument in fabric.Map's doc);
 //   - the package assigns it a value originating outside the component: a
 //     constructor parameter, a package-level variable, or another object's
 //     field. References the component makes itself (make, new, composite
@@ -173,9 +173,9 @@ func trimPath(p string) string {
 
 // sharedReach reports how t can reach mutable heap state shareable between
 // components, returning a human description of the first such reach or ""
-// when t is safe. sim.Link pointers are safe — the scheduler already unions
-// link endpoints through the port interfaces. Funcs are exempt (see the
-// analyzer doc); everything else recurses structurally.
+// when t is safe. Pointers to the share-safe types are safe (see
+// isShareSafe). Funcs are exempt (see the analyzer doc); everything else
+// recurses structurally.
 func sharedReach(t types.Type, seen map[types.Type]bool) string {
 	if seen[t] {
 		return ""
@@ -187,7 +187,7 @@ func sharedReach(t types.Type, seen map[types.Type]bool) string {
 	case *types.Named:
 		return sharedReach(u.Underlying(), seen)
 	case *types.Pointer:
-		if isSimSynchronized(u.Elem()) {
+		if isShareSafe(u.Elem()) {
 			return ""
 		}
 		return "pointer " + types.TypeString(u, nil)
@@ -218,21 +218,28 @@ func sharedReach(t types.Type, seen map[types.Type]bool) string {
 	}
 }
 
-// isSimSynchronized reports whether t is one of the simulator types that are
-// safe to share without a SharedState declaration: sim.Link (the scheduler
-// unions link endpoints through the port interfaces) and sim.Stats (plain
-// counters whose Add is commutative, so tick order cannot leak into
-// results).
-func isSimSynchronized(t types.Type) bool {
+// isShareSafe reports whether t is one of the types that are safe to share
+// without a SharedState declaration: sim.Link (the scheduler unions link
+// endpoints through the port interfaces), sim.Stats (plain counters whose
+// Add is commutative, so tick order cannot leak into results) and
+// record.Schema (unexported fields and no mutating method, so immutable
+// once built).
+func isShareSafe(t types.Type) bool {
 	named, ok := types.Unalias(t).(*types.Named)
 	if !ok {
 		return false
 	}
 	obj := named.Obj()
-	if obj.Pkg() == nil || !strings.HasSuffix(obj.Pkg().Path(), "internal/sim") {
+	if obj.Pkg() == nil {
 		return false
 	}
-	return obj.Name() == "Link" || obj.Name() == "Stats"
+	switch path := obj.Pkg().Path(); {
+	case strings.HasSuffix(path, "internal/sim"):
+		return obj.Name() == "Link" || obj.Name() == "Stats"
+	case strings.HasSuffix(path, "internal/record"):
+		return obj.Name() == "Schema"
+	}
+	return false
 }
 
 // sharedStateMentions returns the set of receiver field names read by the

@@ -4,6 +4,7 @@
 package sharedclean
 
 import (
+	"aurochs/internal/record"
 	"aurochs/internal/sim"
 )
 
@@ -89,3 +90,26 @@ func (t *Tile) Empty() bool {
 	t.pos = t.pos + 0
 	return t.in.Empty()
 }
+
+// Typed holds a record schema handed in by its constructor. A Schema has no
+// mutating method, so sharing one needs neither a SharedState declaration
+// nor a waiver.
+type Typed struct {
+	name   string
+	schema *record.Schema
+	seen   int
+}
+
+// NewTyped stores the caller's schema.
+func NewTyped(name string, schema *record.Schema) *Typed {
+	return &Typed{name: name, schema: schema}
+}
+
+// Name implements the component shape.
+func (t *Typed) Name() string { return t.name }
+
+// Tick implements the component shape.
+func (t *Typed) Tick(int64) { t.seen += t.schema.Len() }
+
+// Done implements the component shape, purely.
+func (t *Typed) Done() bool { return t.seen > 0 }

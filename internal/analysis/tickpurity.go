@@ -13,11 +13,13 @@ import (
 const TickPureWaiver = "lint:tickpure-ok"
 
 // pureMethodNames are the observation methods the simulator kernel may call
-// without owning the component's worker: Idle gates the idle-skip, CanPush
-// gates producers, Done/Drained drive termination, Empty gates consumers,
-// and Stats must be a plain accessor. PR 2's credit commit and idle-skip
-// assume every one of these is observably pure — a field write inside any
-// of them is a cross-worker race and a determinism hole.
+// outside the component's own tick: Idle gates the idle-skip, CanPush gates
+// producers, Done/Drained drive termination, Empty gates consumers, and
+// Stats must be a plain accessor. The event kernel calls Idle and the
+// polling reference does not, and the two call the others at different
+// points and different numbers of times. So every one of these must be
+// observably pure: a field write inside any of them makes the two kernels
+// diverge, which is a determinism hole.
 var pureMethodNames = map[string]bool{
 	"Idle": true, "CanPush": true, "Done": true,
 	"Drained": true, "Empty": true, "Stats": true,
@@ -83,7 +85,7 @@ func runTickPurity(pass *Pass) error {
 			}
 			if reason := pc.checkBody(fd); reason != nil {
 				pass.Reportf(reason.pos,
-					"%s.%s must be observably pure (the kernel may call it outside the owning worker's tick): %s; "+
+					"%s.%s must be observably pure (the event kernel and the polling reference call it at different points): %s; "+
 						"if the effect is invisible to results, annotate the method %s",
 					named.Obj().Name(), fd.Name.Name, reason.what, TickPureWaiver)
 			}

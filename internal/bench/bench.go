@@ -172,7 +172,7 @@ func Fig11b() error {
 	}
 	ta := mkTree(2000, core.RegionTables)
 	tb := mkTree(2000, core.RegionTables+(1<<24))
-	pairs, res, err := core.RTreeSpatialJoin(ta, tb, core.Tuning{})
+	pairs, res, err := core.RTreeSpatialJoin(ta, tb)
 	if err != nil {
 		return err
 	}

@@ -41,7 +41,7 @@ func TestRTreeSpatialJoinMatchesReference(t *testing.T) {
 	ta := rtree.Build(h, RegionTables, ea, maxC)
 	tb := rtree.Build(h, RegionTables+(1<<24), eb, maxC)
 
-	pairs, res, err := RTreeSpatialJoin(ta, tb, Tuning{})
+	pairs, res, err := RTreeSpatialJoin(ta, tb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestRTreeSpatialJoinDisjointSpaces(t *testing.T) {
 	}
 	ta := rtree.Build(h, RegionTables, ea, 200000)
 	tb := rtree.Build(h, RegionTables+(1<<24), eb, 200000)
-	pairs, _, err := RTreeSpatialJoin(ta, tb, Tuning{})
+	pairs, _, err := RTreeSpatialJoin(ta, tb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestRTreeSpatialJoinUnevenHeights(t *testing.T) {
 	if ta.Height <= tb.Height {
 		t.Fatalf("test setup: heights %d vs %d", ta.Height, tb.Height)
 	}
-	pairs, _, err := RTreeSpatialJoin(ta, tb, Tuning{})
+	pairs, _, err := RTreeSpatialJoin(ta, tb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestRTreeSpatialJoinUnevenHeights(t *testing.T) {
 func TestRTreeSpatialJoinRequiresSharedHBM(t *testing.T) {
 	ta := rtree.Build(dram.New(dram.DefaultConfig()), 0, randRects(10, 100, 5, 7), 100)
 	tb := rtree.Build(dram.New(dram.DefaultConfig()), 0, randRects(10, 100, 5, 8), 100)
-	if _, _, err := RTreeSpatialJoin(ta, tb, Tuning{}); err == nil {
+	if _, _, err := RTreeSpatialJoin(ta, tb); err == nil {
 		t.Error("separate HBMs accepted")
 	}
 }

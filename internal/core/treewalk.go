@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"aurochs/internal/dram"
 	"aurochs/internal/fabric"
 	"aurochs/internal/index/btree"
 	"aurochs/internal/index/rtree"
@@ -32,38 +33,49 @@ type RangeQuery struct {
 }
 
 // BTreeSearch runs a batch of range queries against an immutable B-tree on
-// the fabric. Results are [key, val, tag] records, one per matching entry.
-// Point lookups are ranges with Lo == Hi.
-func BTreeSearch(t *btree.Tree, queries []RangeQuery, tun Tuning) ([]record.Rec, Result, error) {
-	return BTreeSearchP(t, queries, tun, 1)
+// the fabric, across p independent pipelines sharing the HBM. Results are
+// [key, val, tag] records, one per matching entry. Point lookups are ranges
+// with Lo == Hi.
+func BTreeSearch(t *btree.Tree, queries []RangeQuery, p int) ([]record.Rec, Result, error) {
+	threads := make([]record.Rec, len(queries))
+	for i, q := range queries {
+		threads[i] = record.Make(q.Lo, q.Hi, t.Root, 0, 0, 0, q.Tag)
+	}
+	fetches := []fabric.Fetch{{Words: btree.NodeWords, Addr: func(r record.Rec) uint32 { return t.NodeAddr(r.Get(btPtr)) }}}
+	out, res, err := runTreeWalks(t.HBM, threads, p, budgetFor(len(queries))*4,
+		func(g *fabric.Graph, k int, threads []record.Rec) *fabric.Sink {
+			return wireTreeWalk(g, fmt.Sprintf("bts%d", k), threads, fetches, expandBTreeNode, btMark,
+				func(r *record.Rec) {
+					*r = record.Make(r.Get(btResKey), r.Get(btResVal), r.Get(btTag))
+				}, uint32(k))
+		})
+	if err != nil {
+		return nil, res, fmt.Errorf("btree search: %w", err)
+	}
+	return out, res, nil
 }
 
-// BTreeSearchP parallelizes the walk across p independent pipelines
-// sharing the HBM, splitting the query batch round-robin.
-func BTreeSearchP(t *btree.Tree, queries []RangeQuery, tun Tuning, p int) ([]record.Rec, Result, error) {
+// runTreeWalks splits threads round-robin across p pipelines on one graph
+// sharing h, wires pipeline k with wire, runs the graph, and returns the
+// sinks' records in pipeline order.
+func runTreeWalks(h *dram.HBM, threads []record.Rec, p int, budget int64,
+	wire func(g *fabric.Graph, k int, threads []record.Rec) *fabric.Sink) ([]record.Rec, Result, error) {
 	if p <= 0 {
 		p = 1
 	}
 	g := fabric.NewGraph()
-	g.AttachHBM(t.HBM)
-
+	g.AttachHBM(h)
 	sinks := make([]*fabric.Sink, p)
-	for k := 0; k < p; k++ {
-		var threads []record.Rec
-		for i := k; i < len(queries); i += p {
-			q := queries[i]
-			threads = append(threads, record.Make(q.Lo, q.Hi, t.Root, 0, 0, 0, q.Tag))
+	for k := range sinks {
+		var mine []record.Rec
+		for i := k; i < len(threads); i += p {
+			mine = append(mine, threads[i])
 		}
-		sinks[k] = wireTreeWalk(g, fmt.Sprintf("bts%d", k), threads, btree.NodeWords,
-			func(r record.Rec) uint32 { return t.NodeAddr(r.Get(btPtr)) },
-			expandBTreeNode, btMark,
-			func(r *record.Rec) {
-				*r = record.Make(r.Get(btResKey), r.Get(btResVal), r.Get(btTag))
-			}, uint32(k))
+		sinks[k] = wire(g, k, mine)
 	}
-	res, err := runGraph(g, budgetFor(len(queries))*4)
+	res, err := runGraph(g, budget)
 	if err != nil {
-		return nil, res, fmt.Errorf("btree search: %w", err)
+		return nil, res, err
 	}
 	var out []record.Rec
 	for _, snk := range sinks {
@@ -73,10 +85,11 @@ func BTreeSearchP(t *btree.Tree, queries []RangeQuery, tun Tuning, p int) ([]rec
 }
 
 // wireTreeWalk assembles one recirculating fetch-and-fork pipeline: loop
-// merge, DRAM expand, route filter, DRAM spill queue on the cyclic path,
-// and a projection into the result sink.
-func wireTreeWalk(g *fabric.Graph, pf string, threads []record.Rec, nodeWidth int,
-	addr func(record.Rec) uint32, expand func(record.Rec, []uint32) []record.Rec,
+// merge, DRAM expand reading fetches per thread, route filter, DRAM spill
+// queue on the cyclic path, and the result sink — behind a projection map
+// unless project is nil.
+func wireTreeWalk(g *fabric.Graph, pf string, threads []record.Rec, fetches []fabric.Fetch,
+	expand func(record.Rec, [][]uint32) []record.Rec,
 	markField int, project func(*record.Rec), spillSlot uint32) *fabric.Sink {
 
 	ctl := fabric.NewLoopCtl()
@@ -89,7 +102,7 @@ func wireTreeWalk(g *fabric.Graph, pf string, threads []record.Rec, nodeWidth in
 
 	g.Add(fabric.NewSource(pf+".in", threads, ext))
 	g.Add(fabric.NewLoopMerge(pf+".entry", recircQ, ext, body, ctl))
-	fabric.NewDRAMExpand(g, pf+".fetch", nodeWidth, addr, expand, ctl, body, walked)
+	fabric.NewDRAMExpand(g, pf+".fetch", fetches, expand, ctl, body, walked)
 	g.Add(fabric.NewFilter(pf+".route", func(r *record.Rec) int {
 		if r.Get(markField) == 1 {
 			return 0
@@ -101,8 +114,11 @@ func wireTreeWalk(g *fabric.Graph, pf string, threads []record.Rec, nodeWidth in
 	}, ctl))
 	fabric.NewSpillQueue(g, pf+".spill", RegionSpill+spillSlot*(1<<23), record.MaxFields, 256, recirc, recircQ)
 
-	out := g.Link(pf + ".out")
-	g.Add(fabric.NewMap(pf+".project", project, found, out))
+	out := found
+	if project != nil {
+		out = g.Link(pf + ".out")
+		g.Add(fabric.NewMap(pf+".project", project, found, out))
+	}
 	snk := fabric.NewSink(pf+".sink", out)
 	g.Add(snk)
 	return snk
@@ -111,7 +127,8 @@ func wireTreeWalk(g *fabric.Graph, pf string, threads []record.Rec, nodeWidth in
 // expandBTreeNode is the fork function of the B-tree walk: internal nodes
 // spawn one child thread per subtree whose key range can intersect the
 // query; leaves spawn one result thread per matching entry.
-func expandBTreeNode(r record.Rec, node []uint32) []record.Rec {
+func expandBTreeNode(r record.Rec, blocks [][]uint32) []record.Rec {
+	node := blocks[0]
 	lo, hi := r.Get(btLo), r.Get(btHi)
 	hdr := node[0]
 	n := int(hdr >> 1)
@@ -170,43 +187,26 @@ type WindowQuery struct {
 }
 
 // RTreeWindow runs a batch of window queries against a packed R-tree on
-// the fabric. Results are [id, tag] records, one per intersecting entry.
-// Search paths diverge — overlapping inner rectangles mean a thread forks
-// down multiple subtrees — and the spill queue absorbs the fan-out.
-func RTreeWindow(t *rtree.Tree, queries []WindowQuery, tun Tuning) ([]record.Rec, Result, error) {
-	return RTreeWindowP(t, queries, tun, 1)
-}
-
-// RTreeWindowP parallelizes window queries across p pipelines — the
-// paper's "multiple smaller window queries in parallel" (§IV-C).
-func RTreeWindowP(t *rtree.Tree, queries []WindowQuery, tun Tuning, p int) ([]record.Rec, Result, error) {
-	if p <= 0 {
-		p = 1
+// the fabric, across p pipelines — the paper's "multiple smaller window
+// queries in parallel" (§IV-C). Results are [id, tag] records, one per
+// intersecting entry. Search paths diverge — overlapping inner rectangles
+// mean a thread forks down multiple subtrees — and the spill queue absorbs
+// the fan-out.
+func RTreeWindow(t *rtree.Tree, queries []WindowQuery, p int) ([]record.Rec, Result, error) {
+	threads := make([]record.Rec, len(queries))
+	for i, q := range queries {
+		threads[i] = record.Make(q.Rect.MinX, q.Rect.MinY, q.Rect.MaxX, q.Rect.MaxY, t.Root, 0, 0, q.Tag)
 	}
-	g := fabric.NewGraph()
-	g.AttachHBM(t.HBM)
-
-	sinks := make([]*fabric.Sink, p)
-	for k := 0; k < p; k++ {
-		var threads []record.Rec
-		for i := k; i < len(queries); i += p {
-			q := queries[i]
-			threads = append(threads, record.Make(q.Rect.MinX, q.Rect.MinY, q.Rect.MaxX, q.Rect.MaxY, t.Root, 0, 0, q.Tag))
-		}
-		sinks[k] = wireTreeWalk(g, fmt.Sprintf("rtw%d", k), threads, rtree.NodeWords,
-			func(r record.Rec) uint32 { return t.NodeAddr(r.Get(rtPtr)) },
-			expandRTreeNode, rtMark,
-			func(r *record.Rec) {
-				*r = record.Make(r.Get(rtResID), r.Get(rtTag))
-			}, uint32(16+k))
-	}
-	res, err := runGraph(g, budgetFor(len(queries))*8)
+	fetches := []fabric.Fetch{{Words: rtree.NodeWords, Addr: func(r record.Rec) uint32 { return t.NodeAddr(r.Get(rtPtr)) }}}
+	out, res, err := runTreeWalks(t.HBM, threads, p, budgetFor(len(queries))*8,
+		func(g *fabric.Graph, k int, threads []record.Rec) *fabric.Sink {
+			return wireTreeWalk(g, fmt.Sprintf("rtw%d", k), threads, fetches, expandRTreeNode, rtMark,
+				func(r *record.Rec) {
+					*r = record.Make(r.Get(rtResID), r.Get(rtTag))
+				}, uint32(16+k))
+		})
 	if err != nil {
 		return nil, res, fmt.Errorf("rtree window: %w", err)
-	}
-	var out []record.Rec
-	for _, snk := range sinks {
-		out = append(out, snk.Records()...)
 	}
 	return out, res, nil
 }
@@ -214,7 +214,8 @@ func RTreeWindowP(t *rtree.Tree, queries []WindowQuery, tun Tuning, p int) ([]re
 // expandRTreeNode forks a window-query thread down every child whose
 // bounding rectangle intersects the query; leaf entries that intersect
 // become result threads.
-func expandRTreeNode(r record.Rec, node []uint32) []record.Rec {
+func expandRTreeNode(r record.Rec, blocks [][]uint32) []record.Rec {
+	node := blocks[0]
 	q := rtree.Rect{MinX: r.Get(rtMinX), MinY: r.Get(rtMinY), MaxX: r.Get(rtMaxX), MaxY: r.Get(rtMaxY)}
 	hdr := node[0]
 	n := int(hdr >> 1)

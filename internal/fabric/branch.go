@@ -93,8 +93,8 @@ type Filter struct {
 	eosIn      bool
 	eos        []bool
 	cyclic     bool
-	inSchema   *record.Schema   // lint:sharedstate-ok — schemas are immutable after construction
-	outSchemas []*record.Schema // parallel to outs (incl. nil-link slots); lint:sharedstate-ok — immutable
+	inSchema   *record.Schema
+	outSchemas []*record.Schema // parallel to outs (incl. nil-link slots)
 }
 
 // NewFilter builds a filter. route returns the output index for each
@@ -402,9 +402,9 @@ type Merge struct {
 	secEOS    bool
 	eos       bool
 	cyclic    bool
-	priSchema *record.Schema // lint:sharedstate-ok — schemas are immutable after construction
-	secSchema *record.Schema // lint:sharedstate-ok — schemas are immutable after construction
-	outSchem  *record.Schema // lint:sharedstate-ok — schemas are immutable after construction
+	priSchema *record.Schema
+	secSchema *record.Schema
+	outSchem  *record.Schema
 }
 
 // NewMerge builds a plain merge: priority input pri, secondary sec.
@@ -454,8 +454,8 @@ func (m *Merge) Done() bool {
 
 // Idle implements sim.Idler. A loop-entry merge may also fire its EOS
 // decision off the loop's in-flight count and its recirculating input's
-// drain state; both are covered by SharedState, so the owning worker may
-// read them here.
+// drain state; both are covered by SharedState, so a partner changing
+// either wakes the merge and the event kernel asks Idle again.
 func (m *Merge) Idle(int64) bool {
 	if m.acc.Len() > 0 {
 		return false
@@ -480,8 +480,8 @@ func (m *Merge) Idle(int64) bool {
 
 // SharedState implements sim.StateSharer: a loop-entry merge counts
 // entering threads into the loop control and reads the recirculating
-// link's producer-side drain state, so it must share a worker with the
-// loop's members and with that link's producer.
+// link's producer-side drain state, so it must be a wake partner of the
+// loop's members and of that link's producer.
 func (m *Merge) SharedState() []any {
 	if m.ctl == nil {
 		return nil
@@ -582,8 +582,8 @@ type Fork struct {
 	eosIn    bool
 	eos      bool
 	cyclic   bool
-	inSchema *record.Schema // lint:sharedstate-ok — schemas are immutable after construction
-	outSchem *record.Schema // lint:sharedstate-ok — schemas are immutable after construction
+	inSchema *record.Schema
+	outSchem *record.Schema
 }
 
 type timedRec struct {

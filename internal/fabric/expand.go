@@ -7,27 +7,37 @@ import (
 	"aurochs/internal/sim"
 )
 
-// DRAMExpand fuses a wide DRAM block fetch with a fork tile: each thread
-// fetches a node block (too wide to live in the thread record) and spawns
-// zero or more child threads from it. This is the tree-walk primitive of
-// figs. 6b and 9: B-tree descent, R-tree window queries, and spatial joins
-// all fetch a block of children and insert the matching ones into the
-// pipeline as new threads. The block size hides DRAM latency and keeps the
-// pipeline full.
+// Fetch is one block a DRAMExpand thread reads: Words words starting at
+// Addr(thread).
+type Fetch struct {
+	Words int
+	Addr  func(record.Rec) uint32
+}
+
+// expandMaxRequests bounds a DRAMExpand's DRAM requests in flight; the node
+// admits expandMaxRequests/len(fetches) threads at a time.
+const expandMaxRequests = 64
+
+// DRAMExpand fuses wide DRAM block fetches with a fork tile: each thread
+// fetches its blocks (too wide to live in the thread record) and spawns
+// zero or more child threads from them. This is the tree-walk primitive of
+// figs. 6b and 9: B-tree descent and R-tree window queries fetch one node
+// block per thread; the spatial join of fig. 9b holds a pair of nodes and
+// fetches one block from each tree. The block size hides DRAM latency and
+// keeps the pipeline full.
 type DRAMExpand struct {
-	name   string
-	h      *dram.HBM
-	width  int
-	addrFn func(record.Rec) uint32
-	expand func(record.Rec, []uint32) []record.Rec
-	ctl    *LoopCtl
-	in     *sim.Link
-	out    *sim.Link
-	stat   *sim.Stats
+	name    string
+	h       *dram.HBM
+	fetches []Fetch
+	expand  func(record.Rec, [][]uint32) []record.Rec
+	ctl     *LoopCtl
+	in      *sim.Link
+	out     *sim.Link
 
 	maxOutstanding int
 	backlog        ring.Queue[record.Rec]
 	outstanding    int
+	free           []*fetchGroup
 	ready          ring.Queue[record.Rec]
 	eosIn          bool
 	eos            bool
@@ -35,21 +45,36 @@ type DRAMExpand struct {
 	stallCnt, fetchCnt *sim.Counter
 }
 
-// NewDRAMExpand builds the node. width is the block size in words; expand
-// receives the thread and the fetched block and returns the child threads
-// (an empty slice kills the parent). ctl must be the enclosing loop's
-// control when the node sits inside a cyclic pipeline.
-func NewDRAMExpand(g *Graph, name string, width int, addrFn func(record.Rec) uint32,
-	expand func(record.Rec, []uint32) []record.Rec, ctl *LoopCtl, in, out *sim.Link) *DRAMExpand {
+// fetchGroup is one thread's blocks in flight. Groups are pooled on the
+// node, so a fetch allocates nothing on the fabric side once the pool
+// covers the in-flight window.
+type fetchGroup struct {
+	d       *DRAMExpand
+	r       record.Rec
+	blocks  [][]uint32
+	done    []func([]uint32)
+	arrived int
+}
+
+// NewDRAMExpand builds the node. Each thread reads the blocks in fetches;
+// expand receives the thread and the blocks in fetches order and returns
+// the child threads (an empty slice kills the parent). expand must not
+// retain the outer blocks slice. ctl must be the enclosing loop's control
+// when the node sits inside a cyclic pipeline.
+func NewDRAMExpand(g *Graph, name string, fetches []Fetch,
+	expand func(r record.Rec, blocks [][]uint32) []record.Rec, ctl *LoopCtl, in, out *sim.Link) *DRAMExpand {
 	if g.HBM == nil {
 		g.defectf(DiagNoHBM, "node %q accesses DRAM but the graph has no HBM attached (call AttachHBM first)", name)
 	}
-	n := &DRAMExpand{
-		name: name, h: g.HBM, width: width, addrFn: addrFn, expand: expand,
-		ctl: ctl, in: in, out: out, stat: g.Stats(), maxOutstanding: 64,
+	if len(fetches) == 0 {
+		panic("fabric: dram expand needs at least one fetch")
 	}
-	n.stallCnt = n.stat.Counter(name + ".dram_stall")
-	n.fetchCnt = n.stat.Counter(name + ".fetches")
+	n := &DRAMExpand{
+		name: name, h: g.HBM, fetches: fetches, expand: expand,
+		ctl: ctl, in: in, out: out, maxOutstanding: expandMaxRequests / len(fetches),
+	}
+	n.stallCnt = g.Stats().Counter(name + ".dram_stall")
+	n.fetchCnt = g.Stats().Counter(name + ".fetches")
 	g.Add(n)
 	return n
 }
@@ -107,31 +132,28 @@ func (d *DRAMExpand) Tick(cycle int64) {
 			d.ready.Drop()
 		}
 	}
-	// Submit fetches.
+	// Submit fetches. A refused first block stalls the node; once it is
+	// in flight the thread is committed, so a refused later block is read
+	// functionally to complete the group (charging a stall).
 	for d.backlog.Len() > 0 && d.outstanding < d.maxOutstanding && d.ready.Len() < 8*record.NumLanes {
 		r := *d.backlog.Front()
-		ok := d.h.SubmitAt(cycle, dram.Request{
-			Addr: d.addrFn(r), Words: d.width,
-			// One completion closure per fetch, amortized over the DRAM
-			// round trip.
-			Done: func(data []uint32) { // lint:hotalloc-ok per-request closure, amortized over the DRAM round trip
-				d.outstanding--
-				children := d.expand(r, data)
-				if d.ctl != nil {
-					d.ctl.Spawn(len(children) - 1)
-				}
-				for _, c := range children {
-					*d.ready.PushRefDirty() = c
-				}
-			},
-		})
-		if !ok {
+		grp := d.group()
+		grp.r = r
+		f := d.fetches[0]
+		if !d.h.SubmitAt(cycle, dram.Request{Addr: f.Addr(r), Words: f.Words, Done: grp.done[0]}) {
 			d.stallCnt.Add(1)
 			break
 		}
+		d.free = d.free[:len(d.free)-1]
 		d.outstanding++
 		d.backlog.Drop()
 		d.fetchCnt.Add(1)
+		for i, f := range d.fetches[1:] {
+			if !d.h.SubmitAt(cycle, dram.Request{Addr: f.Addr(r), Words: f.Words, Done: grp.done[i+1]}) {
+				d.stallCnt.Add(1)
+				grp.done[i+1](d.h.SnapshotWords(f.Addr(r), f.Words))
+			}
+		}
 	}
 	// Accept input.
 	if !d.eosIn && !d.in.Empty() && d.backlog.Len() <= 2*record.NumLanes {
@@ -152,4 +174,42 @@ func (d *DRAMExpand) Tick(cycle int64) {
 		d.out.PushEOS(cycle)
 		d.eos = true
 	}
+}
+
+// group returns the top of the free fetch-group pool, growing the pool
+// when it is empty. The caller pops it once its first block is accepted.
+//
+// lint:hotalloc-ok — the pool grows to at most maxOutstanding groups, each
+// built once with its per-block Done closures, and is reused after that.
+func (d *DRAMExpand) group() *fetchGroup {
+	if len(d.free) == 0 {
+		grp := &fetchGroup{d: d, blocks: make([][]uint32, len(d.fetches)), done: make([]func([]uint32), len(d.fetches))}
+		for i := range grp.done {
+			grp.done[i] = func(data []uint32) { grp.arrive(i, data) }
+		}
+		d.free = append(d.free, grp)
+	}
+	return d.free[len(d.free)-1]
+}
+
+// arrive records block i; the last block to land expands the thread and
+// returns the group to the pool.
+func (grp *fetchGroup) arrive(i int, data []uint32) {
+	grp.blocks[i] = data
+	grp.arrived++
+	if grp.arrived < len(grp.blocks) {
+		return
+	}
+	d := grp.d
+	d.outstanding--
+	children := d.expand(grp.r, grp.blocks)
+	if d.ctl != nil {
+		d.ctl.Spawn(len(children) - 1)
+	}
+	for _, c := range children {
+		*d.ready.PushRefDirty() = c
+	}
+	clear(grp.blocks)
+	grp.arrived = 0
+	d.free = append(d.free, grp)
 }

@@ -18,7 +18,7 @@ type Source struct {
 	recs   []record.Rec
 	pos    int
 	eos    bool
-	schema *record.Schema // lint:sharedstate-ok — schemas are immutable after construction
+	schema *record.Schema
 }
 
 // NewSource builds a source that emits recs densely, in order. The source
@@ -71,7 +71,7 @@ type Sink struct {
 	n         int
 	countOnly bool
 	eos       bool
-	schema    *record.Schema // lint:sharedstate-ok — schemas are immutable after construction
+	schema    *record.Schema
 }
 
 // NewSink builds a sink on the given link that stores every record.
@@ -139,8 +139,8 @@ type Map struct {
 	eosIn    bool
 	eos      bool
 	cyclic   bool
-	inSchema *record.Schema // lint:sharedstate-ok — schemas are immutable after construction
-	outSchem *record.Schema // lint:sharedstate-ok — schemas are immutable after construction
+	inSchema *record.Schema
+	outSchem *record.Schema
 }
 
 type timedVec struct {

@@ -35,8 +35,6 @@ type SpillQueue struct {
 	rptr    uint32
 	eosIn   bool
 	eos     bool
-	// Spills counts records that took the DRAM round trip.
-	Spills int64
 
 	scratch []record.Rec // reused staging for one input vector's records
 	wdata   []uint32     // reused write payload (consumed synchronously by SubmitAt)
@@ -178,7 +176,6 @@ func (s *SpillQueue) Tick(cycle int64) {
 		// Spilling is the explicit overflow path: the backlog growing past
 		// the on-chip segment is the event being modeled.
 		s.spilled = append(s.spilled, recs...) // lint:hotalloc-ok spill backlog growth is the modeled overflow event
-		s.Spills += int64(len(recs))
 		s.spillCnt.Add(int64(len(recs)))
 	}
 }

@@ -31,7 +31,7 @@ type DRAMScan struct {
 	buf         []uint32
 	bufHead     int // consumed prefix of buf; compacted, never resliced away
 	eos         bool
-	schema      *record.Schema // lint:sharedstate-ok — schemas are immutable after construction
+	schema      *record.Schema
 }
 
 // scanChunkWords bounds one DRAM request from a scan: small enough that a
@@ -165,7 +165,7 @@ type DRAMAppend struct {
 	eosIn       bool
 	eos         bool
 	count       int
-	schema      *record.Schema // lint:sharedstate-ok — schemas are immutable after construction
+	schema      *record.Schema
 }
 
 // NewDRAMAppend builds an appending writer at base.

@@ -16,7 +16,7 @@ import (
 type AurochsEngine struct {
 	// Pipelines is the stream-level parallelism applied to joins.
 	Pipelines int
-	// Tuning carries the ablation knobs through to every kernel.
+	// Tuning carries the ablation knobs through to the scratchpad kernels.
 	Tuning core.Tuning
 }
 
@@ -88,7 +88,7 @@ func (e *AurochsEngine) SpatialProbe(points []Point, queries []CircleQ) ([]SPair
 		}
 	}
 	tr := buildRTree(points)
-	hits, res, err := core.RTreeWindowP(tr, rects, e.Tuning, e.Pipelines)
+	hits, res, err := core.RTreeWindow(tr, rects, e.Pipelines)
 	if err != nil {
 		return nil, Cost{}, fmt.Errorf("aurochs spatial: %w", err)
 	}
@@ -112,7 +112,7 @@ func (e *AurochsEngine) WindowProbe(points []Point, queries []RectQ) ([]SPair, C
 		}
 	}
 	tr := buildRTree(points)
-	hits, res, err := core.RTreeWindowP(tr, rects, e.Tuning, e.Pipelines)
+	hits, res, err := core.RTreeWindow(tr, rects, e.Pipelines)
 	if err != nil {
 		return nil, Cost{}, fmt.Errorf("aurochs window: %w", err)
 	}
@@ -132,7 +132,7 @@ func (e *AurochsEngine) TimeRange(entries []KV, lo, hi uint32) ([]uint32, Cost, 
 		items[i] = btree.KV{Key: kv.Key, Val: kv.Val}
 	}
 	tr := btree.Build(h, core.RegionTables, items)
-	hits, res, err := core.BTreeSearch(tr, []core.RangeQuery{{Lo: lo, Hi: hi}}, e.Tuning)
+	hits, res, err := core.BTreeSearch(tr, []core.RangeQuery{{Lo: lo, Hi: hi}}, 1)
 	if err != nil {
 		return nil, Cost{}, fmt.Errorf("aurochs timerange: %w", err)
 	}
