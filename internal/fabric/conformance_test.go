@@ -108,6 +108,14 @@ func conformanceCases() []conformanceCase {
 			g.Add(&slowSink{in: out, want: 300})
 			return g
 		}},
+		{"tree-walk-1block", func(t *testing.T) *Graph {
+			g, _ := treeWalkGraph(1)
+			return g
+		}},
+		{"tree-walk-2block", func(t *testing.T) *Graph {
+			g, _ := treeWalkGraph(2)
+			return g
+		}},
 	}
 }
 
