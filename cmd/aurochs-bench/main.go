@@ -25,6 +25,14 @@ import (
 	"aurochs/internal/bench"
 )
 
+// compareTolerance is the serial cycles/sec fraction a -compare run may
+// lose against its baseline. Each report is a median of runs, but the
+// host's speed drifts between reports: on the shared 2-vCPU host that
+// produced BENCH_7.json, 20 reports from one binary read as low as 0.62
+// of their median (EXPERIMENTS.md). A tighter gate would fail unchanged
+// code there.
+const compareTolerance = 0.40
+
 func main() {
 	fig := flag.String("fig", "all", "experiment: 10, 11a, 11b, 12, 14, warp, ablation, table2, all")
 	scale := flag.String("scale", "small", "dataset scale for -fig 14: small | bench")
@@ -32,7 +40,7 @@ func main() {
 	jsonOut := flag.String("json", "", "run the serial kernel throughput benchmark and write the report to this path")
 	quick := flag.Bool("quick", false, "shrink -json benchmark datasets (CI-sized)")
 	rows := flag.String("rows", "", "with -json: run the rows-vs-throughput scaling sweep at these comma-separated row counts (k/m suffixes ok, e.g. 32k,128k,1m) instead of the fixed-size report")
-	compare := flag.String("compare", "", "after -json, gate the fresh report against this baseline report (fails on >10% serial cycles/sec regression)")
+	compare := flag.String("compare", "", "after -json, gate the fresh report against this baseline report (fails below 60% of its serial cycles/sec)")
 	gate := flag.String("gate", "", "with -json and -rows: require absolute serial floors (name@rows:minCyclesPerSec pairs)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this path (go tool pprof)")
 	memprofile := flag.String("memprofile", "", "write an allocation profile at exit to this path (go tool pprof)")
@@ -87,7 +95,7 @@ func main() {
 			log.Fatal(err)
 		}
 		if *compare != "" {
-			if err := bench.Compare(*jsonOut, *compare, 0.10); err != nil {
+			if err := bench.Compare(*jsonOut, *compare, compareTolerance); err != nil {
 				log.Fatal(err)
 			}
 		}

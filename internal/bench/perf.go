@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"sort"
 	"time"
 )
 
@@ -27,46 +28,73 @@ type PerfExperiment struct {
 
 // PerfReport is the top-level benchmark document (BENCH_*.json).
 type PerfReport struct {
-	Benchmark   string           `json:"benchmark"`
-	GOMAXPROCS  int              `json:"gomaxprocs"`
-	NumCPU      int              `json:"num_cpu"`
-	Quick       bool             `json:"quick"`
+	Benchmark  string `json:"benchmark"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"num_cpu"`
+	Quick      bool   `json:"quick"`
+	// Reps is how many times Perf ran each kernel; a report's wall time
+	// is the median of those runs. Reports before BENCH_7 leave it 0:
+	// they timed one run.
+	Reps        int              `json:"reps,omitempty"`
 	Experiments []PerfExperiment `json:"experiments"`
 }
 
-// perfRows is each swept kernel's dataset size in the -json report. The
-// sizes are BENCH_3's, so -compare against it measures the same work.
+// perfRows is each swept kernel's dataset size in the -json report. Every
+// committed report since BENCH_3 used these sizes, so -compare against any
+// of them measures the same work.
 var perfRows = map[string]int{
 	"fig11a-hashjoin-p16": 1 << 15,
 	"hash-aggregate":      1 << 16,
 	"partition-8way":      1 << 16,
 }
 
-// Perf times every swept kernel once at its perfRows size and writes the
-// report to jsonPath (and a human summary to stdout). quick shrinks the
-// datasets 4x for CI.
+// perfReps is how many times Perf runs each kernel. One run takes
+// 0.05-0.25 s, and the median of five ignores a run slowed by another
+// process. It does not remove slower drifts in the host's speed, which
+// set -compare's tolerance (EXPERIMENTS.md, "Serial gate").
+const perfReps = 5
+
+// Perf times every swept kernel perfReps times at its perfRows size and
+// writes the median run to jsonPath (and a human summary to stdout). quick
+// shrinks the datasets 4x for CI. Every run of a kernel must simulate the
+// same cycles and DRAM bytes.
 func Perf(jsonPath string, quick bool) error {
 	rep := PerfReport{
 		Benchmark:  "aurochs-sim serial kernel throughput",
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 		Quick:      quick,
+		Reps:       perfReps,
 	}
-	fmt.Printf("== serial kernel throughput (GOMAXPROCS=%d, NumCPU=%d) ==\n", rep.GOMAXPROCS, rep.NumCPU)
+	fmt.Printf("== serial kernel throughput (GOMAXPROCS=%d, NumCPU=%d, median of %d) ==\n", rep.GOMAXPROCS, rep.NumCPU, perfReps)
 	for _, k := range sweepKernels() {
 		rows := perfRows[k.name]
 		if quick {
 			rows /= 4
 		}
-		start := time.Now()
-		res, err := k.run(rows)
-		wall := time.Since(start).Seconds()
-		if err != nil {
-			return fmt.Errorf("%s: %w", k.name, err)
+		var run PerfRun
+		walls := make([]float64, perfReps)
+		for i := range walls {
+			// Start each run from a collected heap, so one run's garbage
+			// (or the previous kernel's) is not collected on the next
+			// one's clock.
+			runtime.GC()
+			start := time.Now()
+			res, err := k.run(rows)
+			walls[i] = time.Since(start).Seconds()
+			if err != nil {
+				return fmt.Errorf("%s: %w", k.name, err)
+			}
+			if i > 0 && (res.Cycles != run.Cycles || res.DRAMBytes != run.DRAMBytes) {
+				return fmt.Errorf("%s: run %d simulated %d cycles, %d DRAM bytes; run 0 simulated %d, %d",
+					k.name, i, res.Cycles, res.DRAMBytes, run.Cycles, run.DRAMBytes)
+			}
+			run.Cycles, run.DRAMBytes = res.Cycles, res.DRAMBytes
 		}
-		run := PerfRun{Cycles: res.Cycles, DRAMBytes: res.DRAMBytes, WallSeconds: wall}
-		if wall > 0 {
-			run.CyclesPerSec = float64(res.Cycles) / wall
+		sort.Float64s(walls)
+		run.WallSeconds = walls[perfReps/2]
+		if run.WallSeconds > 0 {
+			run.CyclesPerSec = float64(run.Cycles) / run.WallSeconds
 		}
 		rep.Experiments = append(rep.Experiments, PerfExperiment{Name: k.name, Rows: rows, Serial: run})
 		fmt.Printf("%-22s rows=%-7d %.2fs (%.0f cyc/s)\n", k.name, rows, run.WallSeconds, run.CyclesPerSec)

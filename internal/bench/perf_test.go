@@ -54,7 +54,7 @@ func TestCompareGates(t *testing.T) {
 // under the current schema and gate cleanly against themselves — renamed
 // fields must never strand an old baseline.
 func TestCompareReadsCommittedBaselines(t *testing.T) {
-	for _, p := range []string{"../../BENCH_3.json", "../../BENCH_4.json"} {
+	for _, p := range []string{"../../BENCH_3.json", "../../BENCH_4.json", "../../BENCH_7.json"} {
 		if _, err := os.Stat(p); err != nil {
 			t.Skipf("%s not present", p)
 		}

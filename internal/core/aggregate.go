@@ -80,24 +80,24 @@ func HashAggregate(p HashTableParams, keys []uint32, hbm *dram.HBM) (*AggResult,
 
 	heads := spad.NewMem(16, int(p.Buckets+15)/16, 0)
 	heads.Fill(Nil)
-	nodeBankWords := (int(p.SpadNodes)*nodeWords + 63) / 64 * 4
-	nodes := spad.NewMem(16, nodeBankWords, 2)
+	// Each thread stamps at most one slot, so len(keys) bounds the nodes.
+	nodes := newNodeMem(p.SpadNodes, uint32(len(keys)), nodeWords)
 	ht := &HashTable{Params: p, Heads: heads, Nodes: nodes, HBM: hbm}
 
-	// Threads are made full-width up front, so one schema covers the whole
-	// pipeline (field order matches the ag* constants).
+	// Threads are full-width from the source, so one schema covers the
+	// whole pipeline (field order matches the ag* constants).
 	aggS := record.NewSchema("key", "ptr", "headSeen", "slot", "nkey", "nnext", "obs", "mark")
 
-	threads := make([]record.Rec, len(keys))
-	for i, k := range keys {
-		threads[i] = record.Make(k, 0, 0, Nil, 0, 0, 0, 0)
-	}
-
-	// Ingress: read the bucket head; the walk starts there.
+	// Ingress: build each thread [key, 0, 0, Nil, 0, 0, 0, 0] as it
+	// streams, then read the bucket head; the walk starts there.
 	src := g.Link("agg.src")
 	headIn := g.Link("agg.headIn")
 	ext := g.Link("agg.ext")
-	g.Add(fabric.NewSource("agg.in", threads, src).Typed(aggS))
+	g.Add(fabric.NewSourceFunc("agg.in", len(keys), func(i int, r *record.Rec) {
+		*r = record.Rec{N: agMark + 1}
+		r.F[agKey] = keys[i]
+		r.F[agSlot] = Nil
+	}, src).Typed(aggS))
 	g.Add(fabric.NewMap("agg.hash", func(r *record.Rec) {
 		r.Put(agPtr, Hash32(r.Get(agKey))&(p.Buckets-1))
 	}, src, headIn).Typed(aggS, aggS))

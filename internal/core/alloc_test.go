@@ -21,9 +21,10 @@ func allocBytes(f func()) uint64 {
 
 // TestCountOnlyKernelsAllocPerRow bounds the host bytes allocated per input
 // row by the kernels whose exit stream is only counted. Their sources read
-// the caller's slice and their sinks store nothing; copying the stream into
-// vectors at the source, or into a growing record slice at the sink, would
-// each cost a 52-byte record per row and more.
+// the caller's slice or generate each thread as it streams, and their sinks
+// store nothing; copying the stream into vectors at the source, or into a
+// growing record slice at the sink, would each cost a 52-byte record per
+// row and more. HashJoin stores its matches, so its bound is looser.
 func TestCountOnlyKernelsAllocPerRow(t *testing.T) {
 	const n = 64 << 10
 	rng := rand.New(rand.NewSource(5))
@@ -43,12 +44,16 @@ func TestCountOnlyKernelsAllocPerRow(t *testing.T) {
 		limit uint64 // bytes per row
 		run   func(hbm *dram.HBM) error
 	}{
-		{"HashAggregate", 128, func(hbm *dram.HBM) error {
+		{"HashAggregate", 32, func(hbm *dram.HBM) error {
 			_, _, err := HashAggregate(DefaultHashTableParams(n), keys, hbm)
 			return err
 		}},
 		{"BuildHashTable", 96, func(hbm *dram.HBM) error {
 			_, _, err := BuildHashTable(DefaultHashTableParams(n), recs, hbm)
+			return err
+		}},
+		{"HashJoin", 768, func(hbm *dram.HBM) error {
+			_, _, err := HashJoin(hbm, recs, recs, HashJoinOptions{Pipelines: 16})
 			return err
 		}},
 	} {

@@ -67,11 +67,21 @@ func HashJoin(hbm *dram.HBM, buildSide, probeSide []record.Rec, opt HashJoinOpti
 	for v := 1; v < P; v <<= 1 {
 		shift++
 	}
-	split := func(recs []record.Rec) [][]record.Rec {
-		out := make([][]record.Rec, P)
-		for _, r := range recs {
-			k := int(Hash32(r.Get(0)) & uint32(P-1))
-			out[k] = append(out[k], r)
+	// split returns each pipeline's row indices into recs, in input
+	// order; each pipeline's source builds its records from them as it
+	// streams, so neither side is copied.
+	split := func(recs []record.Rec) [][]int32 {
+		counts := make([]int, P)
+		for i := range recs {
+			counts[Hash32(recs[i].Get(0))&uint32(P-1)]++
+		}
+		out := make([][]int32, P)
+		for k := range out {
+			out[k] = make([]int32, 0, counts[k])
+		}
+		for i := range recs {
+			k := Hash32(recs[i].Get(0)) & uint32(P-1)
+			out[k] = append(out[k], int32(i))
 		}
 		return out
 	}
@@ -92,7 +102,9 @@ func HashJoin(hbm *dram.HBM, buildSide, probeSide []record.Rec, opt HashJoinOpti
 			pp.HashShift = shift
 			pp.Tuning = opt.Tuning
 			pp.BlockBase = RegionPartBlocks + arenaOff + uint32(k)*arena
-			ps, snk, err := PartitionInto(g, fmt.Sprintf("prt.%s%d", side, k), pp, InRecs(groups[k]))
+			idx := groups[k]
+			in := InFunc(len(idx), func(i int, r *record.Rec) { *r = recs[idx[i]] })
+			ps, snk, err := PartitionInto(g, fmt.Sprintf("prt.%s%d", side, k), pp, in)
 			if err != nil {
 				return nil, err
 			}
@@ -123,7 +135,8 @@ func HashJoin(hbm *dram.HBM, buildSide, probeSide []record.Rec, opt HashJoinOpti
 
 	// --- Phase 2: per partition pair, build then probe; P pairs at a
 	// time share the fabric ---
-	var matches []record.Rec
+	found := make([][]record.Rec, 0, int(partsPer)*P)
+	nFound := 0
 	for r := uint32(0); r < partsPer; r++ {
 		// Build round.
 		gb := fabric.NewGraph()
@@ -173,8 +186,13 @@ func HashJoin(hbm *dram.HBM, buildSide, probeSide []record.Rec, opt HashJoinOpti
 		}
 		accumulate(&total, res)
 		for k := 0; k < P; k++ {
-			matches = append(matches, psinks[k].Records()...)
+			found = append(found, psinks[k].Records())
+			nFound += psinks[k].Count()
 		}
+	}
+	matches := make([]record.Rec, 0, nFound)
+	for _, m := range found {
+		matches = append(matches, m...)
 	}
 	return matches, total, nil
 }

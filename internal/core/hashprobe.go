@@ -176,7 +176,7 @@ func ProbeHashTableInto(g *fabric.Graph, pf string, ht *HashTable, probes Stream
 	// Compare and continue: a matching node emits a match thread; a
 	// non-nil next continues the walk. A fork expresses "both".
 	forked := g.Link(pf + ".forked")
-	g.Add(fabric.NewFork(pf+".compare", func(r record.Rec) []record.Rec {
+	g.Add(fabric.NewFork(pf+".compare", func(dst []record.Rec, r *record.Rec) []record.Rec {
 		// Wide keys compare field-by-field — the serialized comparison of
 		// Gorgon's fields-in-time record layout.
 		match := true
@@ -184,14 +184,13 @@ func ProbeHashTableInto(g *fabric.Graph, pf string, ht *HashTable, probes Stream
 			match = match && r.Get(f.nkey+i) == r.Get(i)
 		}
 		cont := r.Get(f.nnext) != Nil && !(match && opt.FirstMatchOnly)
-		out := make([]record.Rec, 0, 2)
 		if match {
-			out = append(out, r.Set(f.mark, 1))
+			dst = append(dst, r.Set(f.mark, 1))
 		}
 		if cont {
-			out = append(out, r.Set(f.ptr, r.Get(f.nnext)).Set(f.mark, 0))
+			dst = append(dst, r.Set(f.ptr, r.Get(f.nnext)).Set(f.mark, 0))
 		}
-		return out
+		return dst
 	}, fetched, forked, ctl).Typed(fullS, fullS))
 
 	found := g.Link(pf + ".found")

@@ -191,20 +191,28 @@ func buildSchema(keyWords int) buildFields {
 	}
 }
 
-// StreamIn describes a kernel's input stream: either pre-materialized
-// records (a Source tile) or dense DRAM extents (a DRAMScan) — the latter
+// StreamIn describes a kernel's input stream: records built by a
+// generator (a Source tile) or dense DRAM extents (a DRAMScan) — the latter
 // is how join phases stream partitions back in.
 type StreamIn struct {
-	Recs     []record.Rec
+	Gen      func(i int, r *record.Rec)
 	Extents  []fabric.Extent
 	RecWords int
-	// N is the expected record count (len(Recs) or the extent total).
+	// N is the expected record count (the generator's count or the extent
+	// total).
 	N int
 }
 
-// InRecs wraps a record slice as a kernel input.
+// InRecs wraps a record slice as a kernel input. The kernel reads the
+// slice in place, as fabric.NewSource does.
 func InRecs(recs []record.Rec) StreamIn {
-	return StreamIn{Recs: recs, N: len(recs)}
+	return InFunc(len(recs), func(i int, r *record.Rec) { *r = recs[i] })
+}
+
+// InFunc wraps a generator of n records as a kernel input; see
+// fabric.NewSourceFunc for gen's contract.
+func InFunc(n int, gen func(i int, r *record.Rec)) StreamIn {
+	return StreamIn{Gen: gen, N: n}
 }
 
 // InExtents wraps DRAM extents as a kernel input.
@@ -220,11 +228,11 @@ func InExtents(ext []fabric.Extent, recWords int) StreamIn {
 // the given schema (a Source carries it as declared; a DRAMScan requires
 // the schema width to equal its record width).
 func (in StreamIn) attach(g *fabric.Graph, name string, out *sim.Link, schema *record.Schema) {
-	if in.Recs != nil || in.Extents == nil {
-		g.Add(fabric.NewSource(name, in.Recs, out).Typed(schema))
+	if in.Extents != nil {
+		fabric.NewDRAMScan(g, name, in.Extents, in.RecWords, out).Typed(schema)
 		return
 	}
-	fabric.NewDRAMScan(g, name, in.Extents, in.RecWords, out).Typed(schema)
+	g.Add(fabric.NewSourceFunc(name, in.N, in.Gen, out).Typed(schema))
 }
 
 // keySchema returns the external record schema of a keyed stream:
@@ -275,9 +283,24 @@ func NewHashTable(p HashTableParams, hbm *dram.HBM) (*HashTable, error) {
 	}
 	heads := spad.NewMem(16, int(p.Buckets+15)/16, 0)
 	heads.Fill(Nil)
-	nodeBankWords := (int(p.SpadNodes)*int(p.nodeWords()) + 63) / 64 * 4
-	nodes := spad.NewMem(16, nodeBankWords, 2)
+	nodes := newNodeMem(p.SpadNodes, p.MaxNodes, p.nodeWords())
 	return &HashTable{Params: p, Heads: heads, Nodes: nodes, HBM: hbm}, nil
+}
+
+// newNodeMem allocates the node scratchpad for a table that stamps at most
+// maxSlots slots, of which at most spadNodes live on chip: the backing
+// store covers min(spadNodes, maxSlots) nodes. The bank of a word depends
+// only on its address, so the smaller store times every access exactly as
+// the full scratchpad would.
+func newNodeMem(spadNodes, maxSlots, nodeWords uint32) *spad.Mem {
+	n := spadNodes
+	if maxSlots < n {
+		n = maxSlots
+	}
+	if n == 0 {
+		n = 1 // NewMem needs a positive size
+	}
+	return spad.NewMem(16, (int(n)*int(nodeWords)+63)/64*4, 2)
 }
 
 // BuildHashTableInto wires one build pipeline into an existing graph under

@@ -189,7 +189,12 @@ type HBM struct {
 	CoalescedWrites int64
 }
 
-const pageWords = 1 << 16 // 256 KiB pages, allocated on demand
+// pageWords sizes the backing pages, allocated on first touch (16 KiB).
+// It sets host memory only; timing depends on addresses, never on pages.
+// Sparse regions such as a join's partition arenas and overflow buffers
+// each pin whole pages, and smaller pages saved no more memory on the
+// join benchmark (EXPERIMENTS.md).
+const pageWords = 1 << 12
 
 // New builds an HBM instance.
 func New(cfg Config) *HBM {

@@ -35,6 +35,43 @@ func TestFunctionalReadWrite(t *testing.T) {
 	}
 }
 
+// TestUntimedCopiesSpanPages: LoadWords and SnapshotWords copy runs that
+// start before a page boundary and end after the next one, so one call
+// touches three pages, and the words read back through the functional and
+// timed paths match what was written. Neighbouring words stay zero.
+func TestUntimedCopiesSpanPages(t *testing.T) {
+	h := New(DefaultConfig())
+	base := uint32(3*pageWords - 37)
+	data := make([]uint32, pageWords+100)
+	for i := range data {
+		data[i] = uint32(i)*2654435761 + 1
+	}
+	h.LoadWords(base, data)
+	got := h.SnapshotWords(base-1, len(data)+2)
+	if got[0] != 0 || got[len(got)-1] != 0 {
+		t.Fatalf("neighbours of the copy were written: %d, %d", got[0], got[len(got)-1])
+	}
+	for i, w := range data {
+		if got[i+1] != w {
+			t.Fatalf("word %d (addr %d): snapshot %d, loaded %d", i, base+uint32(i), got[i+1], w)
+		}
+		if r := h.ReadWord(base + uint32(i)); r != w {
+			t.Fatalf("word %d (addr %d): ReadWord %d, loaded %d", i, base+uint32(i), r, w)
+		}
+	}
+	// A timed read across both boundaries assembles its bursts from all
+	// three pages.
+	var read []uint32
+	drive(t, h, func(cycle int64) bool {
+		return h.SubmitAt(cycle, Request{Addr: base, Words: len(data), Done: func(d []uint32) { read = d }})
+	})
+	for i, w := range data {
+		if read[i] != w {
+			t.Fatalf("word %d (addr %d): timed read %d, loaded %d", i, base+uint32(i), read[i], w)
+		}
+	}
+}
+
 func TestTimedWriteThenRead(t *testing.T) {
 	h := New(DefaultConfig())
 	data := make([]uint32, 100)

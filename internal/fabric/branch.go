@@ -569,14 +569,16 @@ func (m *Merge) maybeEOS(cycle int64) {
 
 // Fork spawns child threads from each parent record — the primitive that
 // lets a search walk multiple paths through a tree simultaneously. The
-// expansion function returns the children (possibly none, killing the
-// parent). Inside a loop, the net thread-count change is reported to ctl.
+// expansion function appends the children to dst and returns it (appending
+// none kills the parent). Inside a loop, the net thread-count change is
+// reported to ctl.
 type Fork struct {
 	name string
 	in   *sim.Link
 	out  *sim.Link
-	fn   func(record.Rec) []record.Rec
+	fn   func(dst []record.Rec, r *record.Rec) []record.Rec
 	ctl  *LoopCtl
+	kids []record.Rec // reused expansion buffer, handed to fn as dst[:0]
 
 	buf      ring.Queue[timedRec]
 	eosIn    bool
@@ -591,8 +593,11 @@ type timedRec struct {
 	ready int64
 }
 
-// NewFork builds a fork tile. ctl may be nil outside loops.
-func NewFork(name string, fn func(record.Rec) []record.Rec, in, out *sim.Link, ctl *LoopCtl) *Fork {
+// NewFork builds a fork tile. ctl may be nil outside loops. fn reads the
+// parent through r, which points into the input link slot and must not be
+// retained, and returns dst with the children appended; the fork reuses
+// dst's backing array across parents.
+func NewFork(name string, fn func(dst []record.Rec, r *record.Rec) []record.Rec, in, out *sim.Link, ctl *LoopCtl) *Fork {
 	return &Fork{name: name, fn: fn, in: in, out: out, ctl: ctl}
 }
 
@@ -679,11 +684,11 @@ func (f *Fork) Tick(cycle int64) {
 				if !fl.Vec.Valid(i) {
 					continue
 				}
-				children := f.fn(fl.Vec.Lane[i])
+				f.kids = f.fn(f.kids[:0], &fl.Vec.Lane[i])
 				if f.ctl != nil {
-					f.ctl.Spawn(len(children) - 1)
+					f.ctl.Spawn(len(f.kids) - 1)
 				}
-				for _, c := range children {
+				for _, c := range f.kids {
 					*f.buf.PushRef() = timedRec{r: c, ready: cycle + PipelineDepth}
 				}
 			}

@@ -49,8 +49,8 @@ func conformanceCases() []conformanceCase {
 			g := NewGraph()
 			in, mid, out := g.Link("in"), g.Link("mid"), g.Link("out")
 			g.Add(NewSource("src", recs(80), in))
-			g.Add(NewFork("fork", func(r record.Rec) []record.Rec {
-				return []record.Rec{r, r.Set(1, r.Get(1)+100)}
+			g.Add(NewFork("fork", func(dst []record.Rec, r *record.Rec) []record.Rec {
+				return append(dst, *r, r.Set(1, r.Get(1)+100))
 			}, in, mid, nil))
 			g.Add(NewFilter("odd?", func(r *record.Rec) int {
 				if r.Get(0)%2 == 1 {

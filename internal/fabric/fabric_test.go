@@ -141,8 +141,8 @@ func TestForkExpands(t *testing.T) {
 	g := NewGraph()
 	in, out := g.Link("in"), g.Link("out")
 	g.Add(NewSource("src", seqRecs(20), in))
-	g.Add(NewFork("fork3", func(r record.Rec) []record.Rec {
-		return []record.Rec{r, r, r}
+	g.Add(NewFork("fork3", func(dst []record.Rec, r *record.Rec) []record.Rec {
+		return append(dst, *r, *r, *r)
 	}, in, out, nil))
 	snk := NewSink("snk", out)
 	g.Add(snk)
@@ -217,13 +217,13 @@ func TestLoopWithForkInside(t *testing.T) {
 	roots := []record.Rec{record.Make(1, 3), record.Make(2, 4)} // depths 3, 4
 	g.Add(NewSource("src", roots, ext))
 	g.Add(NewLoopMerge("entry", recirc, ext, body, ctl))
-	g.Add(NewFork("split", func(r record.Rec) []record.Rec {
+	g.Add(NewFork("split", func(dst []record.Rec, r *record.Rec) []record.Rec {
 		d := r.Get(1)
 		if d == 0 {
-			return []record.Rec{r}
+			return append(dst, *r)
 		}
 		c := r.Set(1, d-1)
-		return []record.Rec{c, c}
+		return append(dst, c, c)
 	}, body, forked, ctl))
 	g.Add(NewFilter("leaf?", func(r *record.Rec) int {
 		if r.Get(1) == 0 {

@@ -44,7 +44,7 @@ func (g *Graph) FlowNet() *flow.Net {
 		switch v := c.(type) {
 		case *Source:
 			nd.Kind = flow.SourceKind
-			nd.Supply = len(v.recs)
+			nd.Supply = v.n
 		case *DRAMScan:
 			nd.Kind = flow.SourceKind
 			if v.recWords > 0 {

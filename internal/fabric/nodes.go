@@ -8,24 +8,36 @@ import (
 	"aurochs/internal/sim"
 )
 
-// Source streams the caller's record slice into the fabric, packing up to
-// one vector (NumLanes records) per cycle, then signals end-of-stream.
-// Records are copied straight from the slice into the link slot, so the
-// stream is never materialised as vectors on the host.
+// Source streams records into the fabric, packing up to one vector
+// (NumLanes records) per cycle, then signals end-of-stream. Each record is
+// built by a generator straight into the staged link slot, so a source
+// never materialises its stream on the host: a kernel whose input threads
+// are computed from something smaller (a key, an index) builds them as
+// they stream, and a source over a record slice copies each record once.
 type Source struct {
 	name   string
 	out    *sim.Link
-	recs   []record.Rec
+	gen    func(i int, r *record.Rec)
+	n      int
 	pos    int
 	eos    bool
 	schema *record.Schema
+}
+
+// NewSourceFunc builds a source that emits n records densely, in order:
+// record i is whatever gen(i, r) writes into r. r points into the link
+// slot and holds stale lanes from earlier flits, so gen must write the
+// whole record (every field it reads downstream, and N). gen is called
+// once per record, in index order, and must not retain r.
+func NewSourceFunc(name string, n int, gen func(i int, r *record.Rec), out *sim.Link) *Source {
+	return &Source{name: name, out: out, gen: gen, n: n}
 }
 
 // NewSource builds a source that emits recs densely, in order. The source
 // reads recs in place: the caller may not modify the slice until the graph's
 // Run returns.
 func NewSource(name string, recs []record.Rec, out *sim.Link) *Source {
-	return &Source{name: name, out: out, recs: recs}
+	return NewSourceFunc(name, len(recs), func(i int, r *record.Rec) { *r = recs[i] }, out)
 }
 
 // Name implements sim.Component.
@@ -48,11 +60,17 @@ func (s *Source) Tick(cycle int64) {
 	if s.eos || !s.out.CanPush() {
 		return
 	}
-	if s.pos < len(s.recs) {
-		// Up to NumLanes records are copied straight into the slot's low
+	if s.pos < s.n {
+		// Up to NumLanes records are built straight into the slot's low
 		// lanes, so the vector is dense.
 		v := s.out.StageVec(cycle)
-		n := copy(v.Lane[:], s.recs[s.pos:])
+		n := s.n - s.pos
+		if n > record.NumLanes {
+			n = record.NumLanes
+		}
+		for i := 0; i < n; i++ {
+			s.gen(s.pos+i, &v.Lane[i])
+		}
 		v.Mask = uint16(1<<uint(n) - 1)
 		s.pos += n
 		return

@@ -132,6 +132,45 @@ func TestSourceMatchesVectorize(t *testing.T) {
 	}
 }
 
+// TestSourceFuncMatchesSource: a generator source emits the same flits as
+// a slice source over the records it generates — lanes, masks, and the
+// cycle of every flit, end-of-stream included — and the flow net takes its
+// supply from its count. The records vary in width and the long stream
+// reuses link slots, so a lane the generator left stale would show.
+func TestSourceFuncMatchesSource(t *testing.T) {
+	mk := func(i int) record.Rec {
+		r := record.Make(uint32(i))
+		for k := 0; k < i%5; k++ {
+			r = r.Append(uint32(1000*i + k))
+		}
+		return r
+	}
+	for _, n := range streamSizes {
+		recs := make([]record.Rec, n)
+		for i := range recs {
+			recs[i] = mk(i)
+		}
+
+		g := NewGraph()
+		l := g.Link("s")
+		src := NewSourceFunc("src", n, func(i int, r *record.Rec) { *r = mk(i) }, l)
+		got := trace(t, g, src, l)
+
+		ref := NewGraph()
+		rl := ref.Link("s")
+		want := trace(t, ref, NewSource("src", recs, rl), rl)
+
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d: NewSourceFunc emitted\n%v\nNewSource\n%v", n, got, want)
+		}
+		for _, nd := range g.FlowNet().Nodes {
+			if nd.Name == "src" && nd.Supply != n {
+				t.Fatalf("n=%d: flow-net supply %d", n, nd.Supply)
+			}
+		}
+	}
+}
+
 // thinned wires recs through a filter that kills every record whose key
 // is 1 or 2 mod 3 — sparse, partial vectors — into the sink mk builds.
 func thinned(recs []record.Rec, mk func(string, *sim.Link) *Sink) (*Graph, *Sink) {

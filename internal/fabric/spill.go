@@ -29,8 +29,8 @@ type SpillQueue struct {
 	stat     *sim.Stats
 
 	front   ring.Queue[record.Rec] // on-chip, ready to emit
-	spilled []record.Rec           // resident in DRAM
-	refill  int                    // records currently being fetched back
+	spilled ring.Queue[record.Rec] // resident in DRAM, oldest first
+	refill  int                    // records at the head of spilled being fetched back
 	wptr    uint32
 	rptr    uint32
 	eosIn   bool
@@ -38,6 +38,11 @@ type SpillQueue struct {
 
 	scratch []record.Rec // reused staging for one input vector's records
 	wdata   []uint32     // reused write payload (consumed synchronously by SubmitAt)
+
+	// refillDone moves the refilled records from the head of spilled to
+	// the on-chip segment. One closure serves every refill because only
+	// one is ever in flight (s.refill gates them).
+	refillDone func([]uint32)
 
 	refillCnt, spillCnt *sim.Counter
 }
@@ -51,6 +56,12 @@ func NewSpillQueue(g *Graph, name string, base uint32, recWords, onChipRecs int,
 	s := &SpillQueue{
 		name: name, h: g.HBM, base: base, recWords: recWords,
 		onchip: onChipRecs, in: in, out: out, stat: g.Stats(),
+	}
+	s.refillDone = func([]uint32) {
+		for ; s.refill > 0; s.refill-- {
+			*s.front.PushRefDirty() = *s.spilled.Front()
+			s.spilled.Drop()
+		}
 	}
 	s.refillCnt = s.stat.Counter(name + ".refills")
 	s.spillCnt = s.stat.Counter(name + ".spilled")
@@ -70,7 +81,7 @@ func (s *SpillQueue) OutputLinks() []*sim.Link { return []*sim.Link{s.out} }
 // Done implements sim.Component: a spill queue sits on cyclic paths and
 // never sees EOS; it is done when empty.
 func (s *SpillQueue) Done() bool {
-	return s.front.Len() == 0 && len(s.spilled) == 0 && s.refill == 0
+	return s.front.Len() == 0 && s.spilled.Len() == 0 && s.refill == 0
 }
 
 // Idle implements sim.Idler: nothing on chip, nothing spilled that could
@@ -79,7 +90,7 @@ func (s *SpillQueue) Idle(int64) bool {
 	if s.front.Len() > 0 {
 		return false
 	}
-	if len(s.spilled) > 0 && s.refill == 0 {
+	if s.spilled.Len() > 0 && s.refill == 0 {
 		return false
 	}
 	if !s.eosIn && !s.in.Empty() {
@@ -110,28 +121,20 @@ func (s *SpillQueue) Tick(cycle int64) {
 		}
 	}
 	// Refill from DRAM when the on-chip segment runs low.
-	if s.front.Len() < s.onchip/2 && len(s.spilled) > 0 && s.refill == 0 {
-		n := len(s.spilled)
-		if n > 64 {
-			n = 64
+	if s.front.Len() < s.onchip/2 && s.spilled.Len() > 0 && s.refill == 0 {
+		n := s.spilled.Len()
+		if n > refillRecs {
+			n = refillRecs
 		}
-		// One batch copy and one closure per refill of up to 64 records,
-		// amortized over the DRAM round trip; the copy must escape into the
-		// callback because s.spilled is resliced as soon as the submit lands.
-		batch := append([]record.Rec(nil), s.spilled[:n]...) // lint:hotalloc-ok per-refill batch copy, amortized over the DRAM round trip
+		// The records stay at the head of spilled until refillDone moves
+		// them; nothing else touches that head while s.refill is set.
 		words := n * s.recWords
 		ok := s.h.SubmitAt(cycle, dram.Request{
 			Addr: s.base + s.rptr%spillRingWords, Words: words,
-			Done: func([]uint32) { // lint:hotalloc-ok per-refill closure, amortized over the DRAM round trip
-				for _, r := range batch {
-					*s.front.PushRef() = r
-				}
-				s.refill = 0
-			},
+			Done: s.refillDone,
 		})
 		if ok {
 			s.refill = n
-			s.spilled = s.spilled[n:]
 			s.rptr += uint32(words)
 			s.refillCnt.Add(1)
 		}
@@ -146,7 +149,7 @@ func (s *SpillQueue) Tick(cycle int64) {
 		}
 		recs := f.Vec.AppendRecords(s.scratch[:0])
 		s.scratch = recs[:0]
-		if len(s.spilled) == 0 && s.refill == 0 && s.front.Len()+len(recs) <= s.onchip {
+		if s.spilled.Len() == 0 && s.refill == 0 && s.front.Len()+len(recs) <= s.onchip {
 			for _, r := range recs {
 				*s.front.PushRef() = r
 			}
@@ -173,12 +176,15 @@ func (s *SpillQueue) Tick(cycle int64) {
 		}
 		// Even if the write was backpressured, keep the records: the
 		// traffic accounting is best-effort under saturation.
-		// Spilling is the explicit overflow path: the backlog growing past
-		// the on-chip segment is the event being modeled.
-		s.spilled = append(s.spilled, recs...) // lint:hotalloc-ok spill backlog growth is the modeled overflow event
+		for _, r := range recs {
+			*s.spilled.PushRefDirty() = r
+		}
 		s.spillCnt.Add(int64(len(recs)))
 	}
 }
 
 // spillRingWords bounds the DRAM footprint of a spill ring; addresses wrap.
 const spillRingWords = 1 << 22
+
+// refillRecs is the most records one refill fetches back from DRAM.
+const refillRecs = 64
