@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"iter"
+	"slices"
 
 	"aurochs/internal/dram"
 	"aurochs/internal/fabric"
@@ -47,10 +49,30 @@ func (o *HashJoinOptions) fill(n int) {
 // 7a). Inputs are [key, val] records; matches are [key, probeVal,
 // buildVal]. The returned Result sums all phases.
 func HashJoin(hbm *dram.HBM, buildSide, probeSide []record.Rec, opt HashJoinOptions) ([]record.Rec, Result, error) {
+	m, res, err := HashJoinIn(hbm, InRecs(buildSide), InRecs(probeSide), opt)
+	if err != nil {
+		return nil, res, err
+	}
+	return m.Records(), res, nil
+}
+
+// HashJoinIn is HashJoin over generator inputs (InFunc or InRecs), and it
+// leaves the matches in the probe sinks that stored them, listed in
+// HashJoin's result order: a caller whose rows are smaller than a record,
+// such as 8-byte key/value pairs, builds each [key, val] record as it
+// streams instead of materialising both sides, and reads the matches
+// straight out of the sinks (Matches.All) instead of out of a copy. Each
+// generator is called several times per row (the splitter reads the key
+// before the partition pass streams the row), so it must be a pure
+// function of the index.
+func HashJoinIn(hbm *dram.HBM, buildSide, probeSide StreamIn, opt HashJoinOptions) (Matches, Result, error) {
+	if buildSide.Gen == nil || probeSide.Gen == nil {
+		return nil, Result{}, fmt.Errorf("core: hash join inputs must be generators, not DRAM extents")
+	}
 	if hbm == nil {
 		hbm = defaultHBM()
 	}
-	opt.fill(len(buildSide))
+	opt.fill(buildSide.N)
 	P := opt.Pipelines
 	// The splitter routes on the low hash bits, so only a power of two
 	// keeps every pipeline busy.
@@ -67,35 +89,40 @@ func HashJoin(hbm *dram.HBM, buildSide, probeSide []record.Rec, opt HashJoinOpti
 	for v := 1; v < P; v <<= 1 {
 		shift++
 	}
-	// split returns each pipeline's row indices into recs, in input
+	// split returns each pipeline's row indices into the side, in input
 	// order; each pipeline's source builds its records from them as it
 	// streams, so neither side is copied.
-	split := func(recs []record.Rec) [][]int32 {
+	split := func(side StreamIn) [][]int32 {
+		var r record.Rec
+		pipe := func(i int) int {
+			side.Gen(i, &r)
+			return int(Hash32(r.Get(0)) & uint32(P-1))
+		}
 		counts := make([]int, P)
-		for i := range recs {
-			counts[Hash32(recs[i].Get(0))&uint32(P-1)]++
+		for i := 0; i < side.N; i++ {
+			counts[pipe(i)]++
 		}
 		out := make([][]int32, P)
 		for k := range out {
 			out[k] = make([]int32, 0, counts[k])
 		}
-		for i := range recs {
-			k := Hash32(recs[i].Get(0)) & uint32(P-1)
+		for i := 0; i < side.N; i++ {
+			k := pipe(i)
 			out[k] = append(out[k], int32(i))
 		}
 		return out
 	}
 
-	partitionSide := func(side string, recs []record.Rec, arenaOff uint32) ([]*PartitionSet, error) {
+	partitionSide := func(name string, side StreamIn, arenaOff uint32) ([]*PartitionSet, error) {
 		g := fabric.NewGraph()
 		g.AttachHBM(hbm)
-		groups := split(recs)
+		groups := split(side)
 		sets := make([]*PartitionSet, P)
 		sinks := make([]*fabric.Sink, P)
 		// One uniform arena stride for all pipelines (sized for the whole
 		// input): per-pipeline strides would differ with group sizes and
 		// overlap, cross-linking block chains.
-		proto := DefaultPartitionParams(len(recs)+P, partsPer, 2)
+		proto := DefaultPartitionParams(side.N+P, partsPer, 2)
 		arena := proto.MaxBlocks * (1 + proto.BlockRecs*proto.RecWords)
 		for k := 0; k < P; k++ {
 			pp := proto
@@ -103,21 +130,21 @@ func HashJoin(hbm *dram.HBM, buildSide, probeSide []record.Rec, opt HashJoinOpti
 			pp.Tuning = opt.Tuning
 			pp.BlockBase = RegionPartBlocks + arenaOff + uint32(k)*arena
 			idx := groups[k]
-			in := InFunc(len(idx), func(i int, r *record.Rec) { *r = recs[idx[i]] })
-			ps, snk, err := PartitionInto(g, fmt.Sprintf("prt.%s%d", side, k), pp, in)
+			in := InFunc(len(idx), func(i int, r *record.Rec) { side.Gen(int(idx[i]), r) })
+			ps, snk, err := PartitionInto(g, fmt.Sprintf("prt.%s%d", name, k), pp, in)
 			if err != nil {
 				return nil, err
 			}
 			sets[k], sinks[k] = ps, snk
 		}
-		res, err := runGraph(g, budgetFor(len(recs))*4)
+		res, err := runGraph(g, budgetFor(side.N)*4)
 		if err != nil {
-			return nil, fmt.Errorf("partition %s: %w", side, err)
+			return nil, fmt.Errorf("partition %s: %w", name, err)
 		}
 		accumulate(&total, res)
 		for k := 0; k < P; k++ {
 			if sinks[k].Count() != len(groups[k]) {
-				return nil, fmt.Errorf("partition %s pipeline %d: stored %d of %d", side, k, sinks[k].Count(), len(groups[k]))
+				return nil, fmt.Errorf("partition %s pipeline %d: stored %d of %d", name, k, sinks[k].Count(), len(groups[k]))
 			}
 		}
 		FinishPartition(sets...)
@@ -135,8 +162,7 @@ func HashJoin(hbm *dram.HBM, buildSide, probeSide []record.Rec, opt HashJoinOpti
 
 	// --- Phase 2: per partition pair, build then probe; P pairs at a
 	// time share the fabric ---
-	found := make([][]record.Rec, 0, int(partsPer)*P)
-	nFound := 0
+	found := make(Matches, 0, int(partsPer)*P)
 	for r := uint32(0); r < partsPer; r++ {
 		// Build round.
 		gb := fabric.NewGraph()
@@ -185,16 +211,47 @@ func HashJoin(hbm *dram.HBM, buildSide, probeSide []record.Rec, opt HashJoinOpti
 			return nil, total, fmt.Errorf("probe round %d: %w", r, err)
 		}
 		accumulate(&total, res)
-		for k := 0; k < P; k++ {
-			found = append(found, psinks[k].Records())
-			nFound += psinks[k].Count()
+		found = append(found, psinks...)
+	}
+	return found, total, nil
+}
+
+// Matches is a kernel's result stream left where its sinks stored it, in
+// result order. Callers that convert the records (to query-level pairs,
+// say) read them once through All instead of through a Records copy.
+type Matches []*fabric.Sink
+
+// Len returns the number of matches.
+func (m Matches) Len() int {
+	n := 0
+	for _, snk := range m {
+		n += snk.Count()
+	}
+	return n
+}
+
+// All yields the matches in result order, each valid until the next
+// iteration (see fabric.Sink.All).
+func (m Matches) All() iter.Seq[*record.Rec] {
+	return func(yield func(*record.Rec) bool) {
+		for _, snk := range m {
+			for r := range snk.All() {
+				if !yield(r) {
+					return
+				}
+			}
 		}
 	}
-	matches := make([]record.Rec, 0, nFound)
-	for _, m := range found {
-		matches = append(matches, m...)
+}
+
+// Records copies the matches, in result order, into one slice sized from
+// their count; nil when there are none.
+func (m Matches) Records() []record.Rec {
+	out := slices.Grow([]record.Rec(nil), m.Len())
+	for _, snk := range m {
+		out = snk.AppendTo(out)
 	}
-	return matches, total, nil
+	return out
 }
 
 func sumInts(xs []int) int {

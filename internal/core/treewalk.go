@@ -37,6 +37,13 @@ type RangeQuery struct {
 // [key, val, tag] records, one per matching entry. Point lookups are ranges
 // with Lo == Hi.
 func BTreeSearch(t *btree.Tree, queries []RangeQuery, p int) ([]record.Rec, Result, error) {
+	m, res, err := BTreeSearchMatches(t, queries, p)
+	return m.Records(), res, err
+}
+
+// BTreeSearchMatches is BTreeSearch leaving the results in the walk's
+// sinks (see Matches).
+func BTreeSearchMatches(t *btree.Tree, queries []RangeQuery, p int) (Matches, Result, error) {
 	threads := make([]record.Rec, len(queries))
 	for i, q := range queries {
 		threads[i] = record.Make(q.Lo, q.Hi, t.Root, 0, 0, 0, q.Tag)
@@ -57,15 +64,15 @@ func BTreeSearch(t *btree.Tree, queries []RangeQuery, p int) ([]record.Rec, Resu
 
 // runTreeWalks splits threads round-robin across p pipelines on one graph
 // sharing h, wires pipeline k with wire, runs the graph, and returns the
-// sinks' records in pipeline order.
+// sinks in pipeline order.
 func runTreeWalks(h *dram.HBM, threads []record.Rec, p int, budget int64,
-	wire func(g *fabric.Graph, k int, threads []record.Rec) *fabric.Sink) ([]record.Rec, Result, error) {
+	wire func(g *fabric.Graph, k int, threads []record.Rec) *fabric.Sink) (Matches, Result, error) {
 	if p <= 0 {
 		p = 1
 	}
 	g := fabric.NewGraph()
 	g.AttachHBM(h)
-	sinks := make([]*fabric.Sink, p)
+	sinks := make(Matches, p)
 	for k := range sinks {
 		var mine []record.Rec
 		for i := k; i < len(threads); i += p {
@@ -77,11 +84,7 @@ func runTreeWalks(h *dram.HBM, threads []record.Rec, p int, budget int64,
 	if err != nil {
 		return nil, res, err
 	}
-	var out []record.Rec
-	for _, snk := range sinks {
-		out = append(out, snk.Records()...)
-	}
-	return out, res, nil
+	return sinks, res, nil
 }
 
 // wireTreeWalk assembles one recirculating fetch-and-fork pipeline: loop
@@ -89,7 +92,7 @@ func runTreeWalks(h *dram.HBM, threads []record.Rec, p int, budget int64,
 // queue on the cyclic path, and the result sink — behind a projection map
 // unless project is nil.
 func wireTreeWalk(g *fabric.Graph, pf string, threads []record.Rec, fetches []fabric.Fetch,
-	expand func(record.Rec, [][]uint32) []record.Rec,
+	expand func(dst []record.Rec, r record.Rec, blocks [][]uint32) []record.Rec,
 	markField int, project func(*record.Rec), spillSlot uint32) *fabric.Sink {
 
 	ctl := fabric.NewLoopCtl()
@@ -126,8 +129,9 @@ func wireTreeWalk(g *fabric.Graph, pf string, threads []record.Rec, fetches []fa
 
 // expandBTreeNode is the fork function of the B-tree walk: internal nodes
 // spawn one child thread per subtree whose key range can intersect the
-// query; leaves spawn one result thread per matching entry.
-func expandBTreeNode(r record.Rec, blocks [][]uint32) []record.Rec {
+// query; leaves spawn one result thread per matching entry. Children are
+// appended to out.
+func expandBTreeNode(out []record.Rec, r record.Rec, blocks [][]uint32) []record.Rec {
 	node := blocks[0]
 	lo, hi := r.Get(btLo), r.Get(btHi)
 	hdr := node[0]
@@ -135,7 +139,6 @@ func expandBTreeNode(r record.Rec, blocks [][]uint32) []record.Rec {
 	isLeaf := hdr&1 == 1
 	keys := node[1 : 1+btree.Fanout]
 	vals := node[1+btree.Fanout : 1+2*btree.Fanout]
-	var out []record.Rec
 	if isLeaf {
 		for i := 0; i < n; i++ {
 			if keys[i] >= lo && keys[i] <= hi {
@@ -193,6 +196,13 @@ type WindowQuery struct {
 // mean a thread forks down multiple subtrees — and the spill queue absorbs
 // the fan-out.
 func RTreeWindow(t *rtree.Tree, queries []WindowQuery, p int) ([]record.Rec, Result, error) {
+	m, res, err := RTreeWindowMatches(t, queries, p)
+	return m.Records(), res, err
+}
+
+// RTreeWindowMatches is RTreeWindow leaving the results in the walk's
+// sinks (see Matches).
+func RTreeWindowMatches(t *rtree.Tree, queries []WindowQuery, p int) (Matches, Result, error) {
 	threads := make([]record.Rec, len(queries))
 	for i, q := range queries {
 		threads[i] = record.Make(q.Rect.MinX, q.Rect.MinY, q.Rect.MaxX, q.Rect.MaxY, t.Root, 0, 0, q.Tag)
@@ -213,14 +223,13 @@ func RTreeWindow(t *rtree.Tree, queries []WindowQuery, p int) ([]record.Rec, Res
 
 // expandRTreeNode forks a window-query thread down every child whose
 // bounding rectangle intersects the query; leaf entries that intersect
-// become result threads.
-func expandRTreeNode(r record.Rec, blocks [][]uint32) []record.Rec {
+// become result threads. Children are appended to out.
+func expandRTreeNode(out []record.Rec, r record.Rec, blocks [][]uint32) []record.Rec {
 	node := blocks[0]
 	q := rtree.Rect{MinX: r.Get(rtMinX), MinY: r.Get(rtMinY), MaxX: r.Get(rtMaxX), MaxY: r.Get(rtMaxY)}
 	hdr := node[0]
 	n := int(hdr >> 1)
 	isLeaf := hdr&1 == 1
-	var out []record.Rec
 	for i := 0; i < n; i++ {
 		w := 1 + i*5
 		e := rtree.Rect{MinX: node[w], MinY: node[w+1], MaxX: node[w+2], MaxY: node[w+3]}

@@ -76,6 +76,17 @@ func (c Config) PeakBytesPerCycle() float64 {
 
 // Request is one memory operation: Words 32-bit words at word address Addr.
 // Done fires at completion with the read data (nil for writes).
+//
+// Buffer ownership: a write's Data is copied in before SubmitAt returns,
+// so the requester may reuse it at once. A write with nil Data is
+// timing-only: it costs the same bursts and stores nothing, for requesters
+// that keep the data on the host themselves (a spill queue). For a read,
+// Data is optional: when its capacity covers Words, the HBM fills
+// Data[:Words] and passes that slice to Done, so a requester that recycles
+// one buffer per outstanding read allocates nothing. The buffer belongs to
+// the HBM from an accepted SubmitAt until Done fires, and the requester
+// must not touch it in between. A read without such a buffer gets a fresh
+// one the callee may keep.
 type Request struct {
 	Addr  uint32
 	Words int
@@ -176,7 +187,8 @@ type HBM struct {
 	hits, misses ring.Queue[completion]
 	seq          uint64
 	now          int64
-	need         []int // scratch for SubmitAt's per-channel reservation tally
+	need         []int         // scratch for SubmitAt's per-channel reservation tally
+	freeReqs     []*pendingReq // retired read records, reused by SubmitAt
 
 	// Stats
 	ReadBursts  int64
@@ -241,6 +253,19 @@ func (h *HBM) span(addr uint32) []uint32 {
 	return h.page(addr)[addr%pageWords:]
 }
 
+// zeroPage backs reads of pages never written: they read as zeros without
+// allocating a page. It is never written.
+var zeroPage [pageWords]uint32
+
+// readSpan is span for the timed read path: a page never written reads
+// from zeroPage instead of being allocated.
+func (h *HBM) readSpan(addr uint32) []uint32 {
+	if id := addr / pageWords; (h.pageBuf == nil || id != h.pageID) && h.pages[id] == nil {
+		return zeroPage[addr%pageWords:]
+	}
+	return h.span(addr)
+}
+
 // ReadWord performs an untimed functional read (setup and verification).
 func (h *HBM) ReadWord(addr uint32) uint32 {
 	return h.page(addr)[addr%pageWords]
@@ -260,11 +285,16 @@ func (h *HBM) LoadWords(base uint32, data []uint32) {
 
 // SnapshotWords reads n words starting at base (untimed).
 func (h *HBM) SnapshotWords(base uint32, n int) []uint32 {
-	out := make([]uint32, n)
-	for off := 0; off < n; {
-		off += copy(out[off:], h.span(base+uint32(off)))
+	return h.ReadWords(make([]uint32, n), base)
+}
+
+// ReadWords fills dst with the len(dst) words starting at base (untimed)
+// and returns it: SnapshotWords into a caller-owned buffer.
+func (h *HBM) ReadWords(dst []uint32, base uint32) []uint32 {
+	for off := 0; off < len(dst); {
+		off += copy(dst[off:], h.span(base+uint32(off)))
 	}
-	return out
+	return dst
 }
 
 // locate maps a burst-aligned word address to (channel, bank, row).
@@ -295,7 +325,7 @@ func (h *HBM) SubmitAt(now int64, req Request) bool {
 	if req.Words <= 0 {
 		panic("dram: request with no words")
 	}
-	if req.Write && len(req.Data) != req.Words {
+	if req.Write && req.Data != nil && len(req.Data) != req.Words {
 		panic("dram: write data length mismatch")
 	}
 	first := req.Addr >> h.burstShift
@@ -340,13 +370,29 @@ func (h *HBM) SubmitAt(now int64, req Request) bool {
 		}
 		return true
 	}
-	p := &pendingReq{req: req, remaining: n, data: make([]uint32, req.Words)}
+	p := h.pending()
+	p.req, p.remaining, p.data = req, n, req.Data
+	if cap(p.data) >= req.Words {
+		p.data = p.data[:req.Words]
+	} else {
+		p.data = make([]uint32, req.Words)
+	}
 	for b := first; b <= last; b++ {
 		addr := b << h.burstShift
 		ch, bank, row := h.locate(addr)
 		h.chans[ch].queue.Push(burst{req: p, addr: addr, bank: bank, row: row})
 	}
 	return true
+}
+
+// pending returns a read record from the free list, or a new one.
+func (h *HBM) pending() *pendingReq {
+	if n := len(h.freeReqs); n > 0 {
+		p := h.freeReqs[n-1]
+		h.freeReqs = h.freeReqs[:n-1]
+		return p
+	}
+	return &pendingReq{}
 }
 
 // postWrite inserts a burst into a channel's write buffer at cycle now,
@@ -467,13 +513,20 @@ func (h *HBM) finishBurst(b burst) {
 		if end := req.Addr + uint32(req.Words); end < hi {
 			hi = end
 		}
-		copy(p.data[lo-req.Addr:hi-req.Addr], h.span(lo))
+		copy(p.data[lo-req.Addr:hi-req.Addr], h.readSpan(lo))
 		h.ReadBursts++
 	}
 	p.remaining--
-	if p.remaining == 0 && req.Done != nil {
+	if p.remaining > 0 {
+		return
+	}
+	if req.Done != nil {
 		req.Done(p.data)
 	}
+	// No burst refers to p any more; drop its references so the free list
+	// pins neither the callback nor the data.
+	*p = pendingReq{}
+	h.freeReqs = append(h.freeReqs, p)
 }
 
 // ResetClock rebases the model's absolute-cycle state to zero so a new

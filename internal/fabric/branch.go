@@ -105,7 +105,7 @@ func NewFilter(name string, route func(*record.Rec) int, in *sim.Link, outs []Ou
 	if len(outs) == 0 {
 		panic("fabric: filter needs at least one output")
 	}
-	return &Filter{
+	f := &Filter{
 		name:       name,
 		in:         in,
 		route:      route,
@@ -115,6 +115,18 @@ func NewFilter(name string, route func(*record.Rec) int, in *sim.Link, outs []Ou
 		lastAppend: make([]int64, len(outs)),
 		eos:        make([]bool, len(outs)),
 	}
+	// Presize to the populations the queues reach without output
+	// backpressure, so a new graph's filter does not double them from 8:
+	// accept holds the pipe to PipelineDepth+2 vectors, and emit releases
+	// a vector as soon as an accumulator holds one, which keeps it under
+	// two vectors. Only a backpressured output grows its accumulator.
+	f.pipe.Reserve(PipelineDepth + 2)
+	for i, o := range outs {
+		if o.Link != nil {
+			f.acc[i].Reserve(2 * record.NumLanes)
+		}
+	}
+	return f
 }
 
 // Cyclic marks the filter as living on a recirculating path that never

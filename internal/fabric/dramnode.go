@@ -33,9 +33,10 @@ type DRAMNode struct {
 	eosIn          bool
 	eos            bool
 
-	wdata []uint32   // scratch for write payloads (consumed synchronously by SubmitAt)
-	resp  [1]uint32  // scratch for atomic responses (Apply may not retain resp)
-	stage record.Rec // the record being completed (see complete)
+	wdata []uint32    // scratch for write payloads (consumed synchronously by SubmitAt)
+	resp  [1]uint32   // scratch for atomic responses (Apply may not retain resp)
+	stage record.Rec  // the record being completed (see complete)
+	reads []*dramRead // free read slots (see read)
 
 	stallCnt, reqCnt, dropCnt *sim.Counter
 }
@@ -121,16 +122,39 @@ func (d *DRAMNode) Tick(cycle int64) {
 	d.finishEOS(cycle)
 }
 
+// dramRead is one read in flight: the thread, the buffer the HBM fills in
+// place (see dram.Request), and the completion callback. Slots are pooled
+// on the node; a slot's buffer is free again once complete returns, since
+// Apply may not retain resp.
+type dramRead struct {
+	r    record.Rec
+	buf  []uint32
+	done func([]uint32)
+}
+
+// read returns the top free read slot, building one when the pool is
+// empty. The caller pops it once SubmitAt accepts the read.
+func (d *DRAMNode) read() *dramRead {
+	if len(d.reads) == 0 {
+		rd := &dramRead{buf: make([]uint32, d.width())}
+		rd.done = func(data []uint32) {
+			d.complete(&rd.r, data)
+			d.reads = append(d.reads, rd)
+		}
+		d.reads = append(d.reads, rd)
+	}
+	return d.reads[len(d.reads)-1]
+}
+
 // submit pushes backlogged records into the memory system, stalling when
 // the response side backs up (bounded buffering, like the scratchpad's
 // response compactor). A posted write — plain or atomic — is acknowledged
 // inside SubmitAt, so it completes here without a callback.
 //
-// lint:hotalloc-ok — a read's completion closure (and the HBM's
-// per-request buffer behind it) escapes into the HBM callback and lives
-// until the response returns; one small allocation per DRAM read is
-// amortized over the multi-ten-cycle round trip. Writes and atomics use
-// the node's scratch (d.wdata, d.resp) and allocate nothing.
+// lint:hotalloc-ok — a read draws a pooled slot (read) whose buffer the
+// HBM fills in place, and writes and atomics use the node's scratch
+// (d.wdata, d.resp). Both pools stop growing once they cover the widest
+// payload and the in-flight window (at most maxOutstanding reads).
 func (d *DRAMNode) submit(cycle int64) {
 	for d.backlog.Len() > 0 && d.outstanding < d.maxOutstanding &&
 		d.ready.Len()+d.outstanding < 8*record.NumLanes {
@@ -139,6 +163,7 @@ func (d *DRAMNode) submit(cycle int64) {
 		addr := d.spec.Addr(r)
 		req := dram.Request{Addr: addr, Words: w}
 		var resp []uint32
+		var rd *dramRead
 		switch d.spec.Op {
 		case spad.OpWrite:
 			// SubmitAt consumes write payloads synchronously, so the
@@ -149,8 +174,9 @@ func (d *DRAMNode) submit(cycle int64) {
 			}
 			req.Write = true
 		case spad.OpRead:
-			rr := *r
-			req.Done = func(data []uint32) { d.complete(&rr, data) }
+			rd = d.read()
+			rd.r = *r
+			req.Data, req.Done = rd.buf, rd.done
 		case spad.OpFAA:
 			// Atomic at the memory controller: mutate functionally now
 			// (submissions are serialized) and respond once the update
@@ -178,6 +204,9 @@ func (d *DRAMNode) submit(cycle int64) {
 		if !d.h.SubmitAt(cycle, req) {
 			d.stallCnt.Add(1)
 			return
+		}
+		if rd != nil {
+			d.reads = d.reads[:len(d.reads)-1]
 		}
 		d.outstanding++
 		if req.Write {

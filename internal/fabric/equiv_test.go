@@ -201,18 +201,17 @@ func treeWalkGraph(blocks int) (*Graph, []*Sink) {
 		{Words: 5, Addr: func(r record.Rec) uint32 { return twChildBase + 5*r.Get(0) }},
 		{Words: 2, Addr: func(r record.Rec) uint32 { return twWeightBase + 2*r.Get(0) }},
 	}
-	NewDRAMExpand(g, "fetch", fetches[:blocks], func(r record.Rec, b [][]uint32) []record.Rec {
+	NewDRAMExpand(g, "fetch", fetches[:blocks], func(out []record.Rec, r record.Rec, b [][]uint32) []record.Rec {
 		acc := r.Get(2) + 1
 		if len(b) == 2 {
 			acc += b[1][0] * b[1][1]
 		}
 		children := b[0]
 		if children[0] == 0 {
-			return []record.Rec{record.Make(r.Get(0), 1, acc)}
+			return append(out, record.Make(r.Get(0), 1, acc))
 		}
-		out := make([]record.Rec, children[0])
-		for i := range out {
-			out[i] = record.Make(children[1+i], 0, acc)
+		for _, c := range children[1 : 1+children[0]] {
+			out = append(out, record.Make(c, 0, acc))
 		}
 		return out
 	}, ctl, body, walked)

@@ -29,7 +29,8 @@ type DRAMExpand struct {
 	name    string
 	h       *dram.HBM
 	fetches []Fetch
-	expand  func(record.Rec, [][]uint32) []record.Rec
+	expand  func(dst []record.Rec, r record.Rec, blocks [][]uint32) []record.Rec
+	kids    []record.Rec // children buffer handed to expand, reused across threads
 	ctl     *LoopCtl
 	in      *sim.Link
 	out     *sim.Link
@@ -46,23 +47,28 @@ type DRAMExpand struct {
 }
 
 // fetchGroup is one thread's blocks in flight. Groups are pooled on the
-// node, so a fetch allocates nothing on the fabric side once the pool
-// covers the in-flight window.
+// node, and each owns one read buffer per block that the HBM fills in place
+// (see dram.Request), so a fetch allocates nothing once the pool covers the
+// in-flight window. A buffer belongs to the HBM while its read is in flight
+// and to expand while it runs; it is reused once expand returns.
 type fetchGroup struct {
 	d       *DRAMExpand
 	r       record.Rec
-	blocks  [][]uint32
-	done    []func([]uint32)
+	bufs    [][]uint32     // per-block read buffers, in fetches order
+	done    func([]uint32) // every block's completion callback
 	arrived int
 }
 
 // NewDRAMExpand builds the node. Each thread reads the blocks in fetches;
-// expand receives the thread and the blocks in fetches order and returns
-// the child threads (an empty slice kills the parent). expand must not
-// retain the outer blocks slice. ctl must be the enclosing loop's control
-// when the node sits inside a cyclic pipeline.
+// expand receives a children buffer dst (empty, reused from thread to
+// thread), the thread, and the blocks in fetches order, and returns dst
+// with the child threads appended (none kills the parent). The node copies
+// the children out before the next expand call, and reuses the block
+// buffers once expand returns, so expand must retain neither dst, blocks,
+// nor any block. ctl must be the enclosing loop's control when the node
+// sits inside a cyclic pipeline.
 func NewDRAMExpand(g *Graph, name string, fetches []Fetch,
-	expand func(r record.Rec, blocks [][]uint32) []record.Rec, ctl *LoopCtl, in, out *sim.Link) *DRAMExpand {
+	expand func(dst []record.Rec, r record.Rec, blocks [][]uint32) []record.Rec, ctl *LoopCtl, in, out *sim.Link) *DRAMExpand {
 	if g.HBM == nil {
 		g.defectf(DiagNoHBM, "node %q accesses DRAM but the graph has no HBM attached (call AttachHBM first)", name)
 	}
@@ -140,7 +146,7 @@ func (d *DRAMExpand) Tick(cycle int64) {
 		grp := d.group()
 		grp.r = r
 		f := d.fetches[0]
-		if !d.h.SubmitAt(cycle, dram.Request{Addr: f.Addr(r), Words: f.Words, Done: grp.done[0]}) {
+		if !d.h.SubmitAt(cycle, dram.Request{Addr: f.Addr(r), Words: f.Words, Data: grp.bufs[0], Done: grp.done}) {
 			d.stallCnt.Add(1)
 			break
 		}
@@ -149,9 +155,10 @@ func (d *DRAMExpand) Tick(cycle int64) {
 		d.backlog.Drop()
 		d.fetchCnt.Add(1)
 		for i, f := range d.fetches[1:] {
-			if !d.h.SubmitAt(cycle, dram.Request{Addr: f.Addr(r), Words: f.Words, Done: grp.done[i+1]}) {
+			buf := grp.bufs[i+1]
+			if !d.h.SubmitAt(cycle, dram.Request{Addr: f.Addr(r), Words: f.Words, Data: buf, Done: grp.done}) {
 				d.stallCnt.Add(1)
-				grp.done[i+1](d.h.SnapshotWords(f.Addr(r), f.Words))
+				grp.done(d.h.ReadWords(buf, f.Addr(r)))
 			}
 		}
 	}
@@ -180,36 +187,37 @@ func (d *DRAMExpand) Tick(cycle int64) {
 // when it is empty. The caller pops it once its first block is accepted.
 //
 // lint:hotalloc-ok — the pool grows to at most maxOutstanding groups, each
-// built once with its per-block Done closures, and is reused after that.
+// built once with its per-block buffers and completion callback, and is
+// reused after that.
 func (d *DRAMExpand) group() *fetchGroup {
 	if len(d.free) == 0 {
-		grp := &fetchGroup{d: d, blocks: make([][]uint32, len(d.fetches)), done: make([]func([]uint32), len(d.fetches))}
-		for i := range grp.done {
-			grp.done[i] = func(data []uint32) { grp.arrive(i, data) }
+		grp := &fetchGroup{d: d, bufs: make([][]uint32, len(d.fetches))}
+		for i, f := range d.fetches {
+			grp.bufs[i] = make([]uint32, f.Words)
 		}
+		grp.done = func([]uint32) { grp.arrive() }
 		d.free = append(d.free, grp)
 	}
 	return d.free[len(d.free)-1]
 }
 
-// arrive records block i; the last block to land expands the thread and
-// returns the group to the pool.
-func (grp *fetchGroup) arrive(i int, data []uint32) {
-	grp.blocks[i] = data
+// arrive counts a landed block (the HBM filled it into the group's own
+// buffer); the last block to land expands the thread and returns the group
+// to the pool.
+func (grp *fetchGroup) arrive() {
 	grp.arrived++
-	if grp.arrived < len(grp.blocks) {
+	if grp.arrived < len(grp.bufs) {
 		return
 	}
 	d := grp.d
 	d.outstanding--
-	children := d.expand(grp.r, grp.blocks)
+	d.kids = d.expand(d.kids[:0], grp.r, grp.bufs)
 	if d.ctl != nil {
-		d.ctl.Spawn(len(children) - 1)
+		d.ctl.Spawn(len(d.kids) - 1)
 	}
-	for _, c := range children {
-		*d.ready.PushRefDirty() = c
+	for i := range d.kids {
+		*d.ready.PushRefDirty() = d.kids[i]
 	}
-	clear(grp.blocks)
 	grp.arrived = 0
 	d.free = append(d.free, grp)
 }

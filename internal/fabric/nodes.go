@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"iter"
 	"math/bits"
 
 	"aurochs/internal/record"
@@ -80,12 +81,16 @@ func (s *Source) Tick(cycle int64) {
 }
 
 // Sink observes a stream's end and counts its records. A sink built by
-// NewSink also stores them for Records; one built by NewCountSink stores
-// nothing, for kernels whose exit stream is only counted.
+// NewSink also stores them for Records and AppendTo; one built by
+// NewCountSink stores nothing, for kernels whose exit stream is only
+// counted. A storing sink packs its records into chunks (record.Chunks):
+// a record takes its live fields plus one word, is written once, and the
+// store never reallocates as it grows.
 type Sink struct {
 	name      string
 	in        *sim.Link
-	recs      []record.Rec
+	recs      record.Chunks
+	flat      []record.Rec // Records' result, built on the first call after the stream ends
 	n         int
 	countOnly bool
 	eos       bool
@@ -98,7 +103,7 @@ func NewSink(name string, in *sim.Link) *Sink {
 }
 
 // NewCountSink builds a sink on the given link that only counts records:
-// Count works as for NewSink, Records returns nil.
+// Count works as for NewSink, Records and AppendTo store nothing.
 func NewCountSink(name string, in *sim.Link) *Sink {
 	return &Sink{name: name, in: in, countOnly: true}
 }
@@ -129,13 +134,36 @@ func (s *Sink) Tick(cycle int64) {
 		}
 		s.n += f.Vec.Count()
 		if !s.countOnly {
-			s.recs = f.Vec.AppendRecords(s.recs)
+			s.recs.AppendVec(&f.Vec)
 		}
 	}
 }
 
-// Records returns everything collected so far; nil for a count-only sink.
-func (s *Sink) Records() []record.Rec { return s.recs }
+// Records returns everything collected so far, in arrival order, as one
+// slice; nil for a count-only sink. The slice is built once and returned
+// again by later calls until more records arrive. Callers gathering
+// several sinks into one result should presize it from Count and use
+// AppendTo instead, which skips this copy.
+func (s *Sink) Records() []record.Rec {
+	if s.recs.Len() == 0 {
+		return nil
+	}
+	if len(s.flat) != s.recs.Len() {
+		s.flat = s.recs.AppendTo(make([]record.Rec, 0, s.recs.Len()))
+	}
+	return s.flat
+}
+
+// AppendTo appends the collected records to dst in arrival order and
+// returns the extended slice; a count-only sink appends nothing. A dst
+// with room for Count more records is not reallocated.
+func (s *Sink) AppendTo(dst []record.Rec) []record.Rec { return s.recs.AppendTo(dst) }
+
+// All yields the collected records in arrival order, each rebuilt in one
+// scratch record that is valid until the next iteration: a caller that
+// converts them reads each once and copies nothing. A count-only sink
+// yields nothing.
+func (s *Sink) All() iter.Seq[*record.Rec] { return s.recs.All() }
 
 // Count returns the number of records that reached the sink.
 func (s *Sink) Count() int { return s.n }

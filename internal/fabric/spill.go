@@ -37,7 +37,7 @@ type SpillQueue struct {
 	eos     bool
 
 	scratch []record.Rec // reused staging for one input vector's records
-	wdata   []uint32     // reused write payload (consumed synchronously by SubmitAt)
+	rdata   []uint32     // the refill read's buffer, filled by the HBM (one refill in flight)
 
 	// refillDone moves the refilled records from the head of spilled to
 	// the on-chip segment. One closure serves every refill because only
@@ -56,6 +56,7 @@ func NewSpillQueue(g *Graph, name string, base uint32, recWords, onChipRecs int,
 	s := &SpillQueue{
 		name: name, h: g.HBM, base: base, recWords: recWords,
 		onchip: onChipRecs, in: in, out: out, stat: g.Stats(),
+		rdata: make([]uint32, refillRecs*recWords),
 	}
 	s.refillDone = func([]uint32) {
 		for ; s.refill > 0; s.refill-- {
@@ -131,7 +132,7 @@ func (s *SpillQueue) Tick(cycle int64) {
 		words := n * s.recWords
 		ok := s.h.SubmitAt(cycle, dram.Request{
 			Addr: s.base + s.rptr%spillRingWords, Words: words,
-			Done: s.refillDone,
+			Data: s.rdata, Done: s.refillDone,
 		})
 		if ok {
 			s.refill = n
@@ -155,23 +156,10 @@ func (s *SpillQueue) Tick(cycle int64) {
 			}
 			return
 		}
+		// The records stay on the host, so the spill is a timing-only
+		// write of their slots.
 		words := len(recs) * s.recWords
-		// Cap-guarded scratch: allocated only while the largest vector seen
-		// is still growing, then reused verbatim.
-		if cap(s.wdata) < words {
-			s.wdata = make([]uint32, 0, words) // lint:hotalloc-ok cap-guarded scratch, allocates until the widest vector is covered
-		}
-		data := s.wdata[:0]
-		for _, r := range recs {
-			for i := 0; i < s.recWords; i++ {
-				if i < r.Len() {
-					data = append(data, r.Get(i)) // lint:hotalloc-ok writes into cap-guarded scratch, cannot grow
-				} else {
-					data = append(data, 0) // pad to the configured slot width; lint:hotalloc-ok writes into cap-guarded scratch, cannot grow
-				}
-			}
-		}
-		if s.h.SubmitAt(cycle, dram.Request{Addr: s.base + s.wptr%spillRingWords, Words: words, Write: true, Data: data}) {
+		if s.h.SubmitAt(cycle, dram.Request{Addr: s.base + s.wptr%spillRingWords, Words: words, Write: true}) {
 			s.wptr += uint32(words)
 		}
 		// Even if the write was backpressured, keep the records: the

@@ -3,6 +3,7 @@ package fabric
 import (
 	"aurochs/internal/dram"
 	"aurochs/internal/record"
+	"aurochs/internal/ring"
 	"aurochs/internal/sim"
 )
 
@@ -26,12 +27,23 @@ type DRAMScan struct {
 	chunks      []Extent // extents chopped to queue-friendly requests
 	next        int
 	outstanding int
-	completed   map[int][]uint32 // chunk seq -> data, awaiting in-order append
-	appendNext  int
+	inflight    ring.Queue[*scanRead] // issued chunk reads, in chunk order
+	free        []*scanRead
 	buf         []uint32
 	bufHead     int // consumed prefix of buf; compacted, never resliced away
 	eos         bool
 	schema      *record.Schema
+}
+
+// scanRead is one chunk read: the buffer the HBM fills in place (see
+// dram.Request) and, once it has landed, the data. Reads are pooled on the
+// scan; a read's data is appended to the stream when every earlier chunk's
+// has, and its buffer is reused after that.
+type scanRead struct {
+	buf    []uint32
+	data   []uint32
+	landed bool
+	done   func([]uint32)
 }
 
 // scanChunkWords bounds one DRAM request from a scan: small enough that a
@@ -47,8 +59,7 @@ func NewDRAMScan(g *Graph, name string, extents []Extent, recWords int, out *sim
 	if recWords <= 0 || recWords > record.MaxFields {
 		panic("fabric: scan recWords out of range")
 	}
-	s := &DRAMScan{name: name, h: g.HBM, extents: extents, recWords: recWords, out: out,
-		completed: make(map[int][]uint32)}
+	s := &DRAMScan{name: name, h: g.HBM, extents: extents, recWords: recWords, out: out}
 	for _, e := range extents {
 		for off := 0; off < e.Words; off += scanChunkWords {
 			n := e.Words - off
@@ -103,21 +114,13 @@ func (s *DRAMScan) Tick(cycle int64) {
 	// strictly in sequence.
 	for s.next < len(s.chunks) && s.outstanding < 8 && s.buffered() < 4096 {
 		ext := s.chunks[s.next]
-		seq := s.next
-		if !s.h.SubmitAt(cycle, dram.Request{Addr: ext.Addr, Words: ext.Words, Done: func(data []uint32) { // lint:hotalloc-ok per-chunk closure, amortized over the DRAM round trip
-			s.outstanding--
-			// The reorder window holds at most 8 chunks; map buckets are
-			// reused after delete, and buf is compacted below so its
-			// capacity is reused once it reaches steady state.
-			s.completed[seq] = data // lint:hotalloc-ok bounded reorder window, buckets reused after delete
-			for d, ok := s.completed[s.appendNext]; ok; d, ok = s.completed[s.appendNext] {
-				s.buf = append(s.buf, d...) // lint:hotalloc-ok warmup growth, buf compacted and reused at steady state
-				delete(s.completed, s.appendNext)
-				s.appendNext++
-			}
-		}}) {
+		rd := s.read()
+		// lint:hotalloc-ok the HBM fills the pooled read's buffer and recycles its request records
+		if !s.h.SubmitAt(cycle, dram.Request{Addr: ext.Addr, Words: ext.Words, Data: rd.buf, Done: rd.done}) {
 			break
 		}
+		s.free = s.free[:len(s.free)-1]
+		*s.inflight.PushRefDirty() = rd
 		s.next++
 		s.outstanding++
 	}
@@ -148,6 +151,31 @@ func (s *DRAMScan) Tick(cycle int64) {
 	}
 }
 
+// read returns the top free chunk read, building one when the pool is
+// empty. The caller pops it once SubmitAt accepts the read.
+//
+// lint:hotalloc-ok — the pool grows to the reads in flight or landed out of
+// order, each built once with its chunk buffer and callback; buf grows to
+// the scan's steady-state backlog and is compacted and reused after that.
+func (s *DRAMScan) read() *scanRead {
+	if len(s.free) == 0 {
+		rd := &scanRead{buf: make([]uint32, scanChunkWords)}
+		rd.done = func(data []uint32) {
+			s.outstanding--
+			rd.data, rd.landed = data, true
+			for s.inflight.Len() > 0 && (*s.inflight.Front()).landed {
+				head := *s.inflight.Front()
+				s.inflight.Drop()
+				s.buf = append(s.buf, head.data...)
+				head.data, head.landed = nil, false
+				s.free = append(s.free, head)
+			}
+		}
+		s.free = append(s.free, rd)
+	}
+	return s.free[len(s.free)-1]
+}
+
 // DRAMAppend materializes a record stream densely into DRAM starting at
 // Base: the append-only write path of sorted runs, join outputs, and spill
 // buffers. Writes are buffered into burst-sized chunks so the traffic stays
@@ -162,6 +190,7 @@ type DRAMAppend struct {
 	written     uint32 // words flushed or buffered
 	buf         []uint32
 	outstanding int
+	flushed     func([]uint32) // every flush's completion callback
 	eosIn       bool
 	eos         bool
 	count       int
@@ -174,6 +203,7 @@ func NewDRAMAppend(g *Graph, name string, base uint32, recWords int, in *sim.Lin
 		g.defectf(DiagNoHBM, "node %q accesses DRAM but the graph has no HBM attached (call AttachHBM first)", name)
 	}
 	a := &DRAMAppend{name: name, h: g.HBM, base: base, recWords: recWords, in: in}
+	a.flushed = func([]uint32) { a.outstanding-- }
 	g.Add(a)
 	return a
 }
@@ -249,7 +279,7 @@ func (a *DRAMAppend) Tick(cycle int64) {
 		}
 		if !a.h.SubmitAt(cycle, dram.Request{
 			Addr: a.base + a.written, Words: n, Write: true, Data: a.buf[head : head+n],
-			Done: func([]uint32) { a.outstanding-- }, // lint:hotalloc-ok per-chunk closure, amortized over the 256-word flush
+			Done: a.flushed,
 		}) {
 			break
 		}

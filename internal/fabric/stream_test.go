@@ -222,7 +222,7 @@ func TestDRAMExpandSpawnsChildren(t *testing.T) {
 				{Words: 1, Addr: func(r record.Rec) uint32 { return r.Get(0) }},
 				{Words: 2, Addr: func(r record.Rec) uint32 { return 1000 + 2*r.Get(0) }},
 			}
-			NewDRAMExpand(g, "exp", fetches[:blocks], func(r record.Rec, b [][]uint32) []record.Rec {
+			NewDRAMExpand(g, "exp", fetches[:blocks], func(out []record.Rec, r record.Rec, b [][]uint32) []record.Rec {
 				id := r.Get(0)
 				if len(b) != blocks || len(b[0]) != 1 {
 					t.Errorf("thread %d: got %d blocks, first %v", id, len(b), b[0])
@@ -230,9 +230,8 @@ func TestDRAMExpandSpawnsChildren(t *testing.T) {
 				if blocks == 2 && (len(b[1]) != 2 || b[1][0] != 0xB000+id || b[1][1] != 0xC000+id) {
 					t.Errorf("thread %d: blocks %v %v out of fetch order", id, b[0], b[1])
 				}
-				out := make([]record.Rec, b[0][0])
-				for i := range out {
-					out[i] = r.Append(uint32(i))
+				for i := uint32(0); i < b[0][0]; i++ {
+					out = append(out, r.Append(i))
 				}
 				return out
 			}, nil, in, out)

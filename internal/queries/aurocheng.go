@@ -38,24 +38,21 @@ func (e *AurochsEngine) EquiJoin(build, probe []KV) ([]Pair, Cost, error) {
 	if len(build) == 0 || len(probe) == 0 {
 		return nil, Cost{}, nil
 	}
-	b := make([]record.Rec, len(build))
-	for i, kv := range build {
-		b[i] = record.Make(kv.Key, kv.Val)
+	// Each side streams its [key, val] records straight from the 8-byte
+	// pairs rather than from a copied 52-byte record per row.
+	kvIn := func(kv []KV) core.StreamIn {
+		return core.InFunc(len(kv), func(i int, r *record.Rec) { *r = record.Make(kv[i].Key, kv[i].Val) })
 	}
-	p := make([]record.Rec, len(probe))
-	for i, kv := range probe {
-		p[i] = record.Make(kv.Key, kv.Val)
-	}
-	matches, res, err := core.HashJoin(nil, b, p, core.HashJoinOptions{
+	matches, res, err := core.HashJoinIn(nil, kvIn(build), kvIn(probe), core.HashJoinOptions{
 		Pipelines: e.Pipelines,
 		Tuning:    e.Tuning,
 	})
 	if err != nil {
 		return nil, Cost{}, fmt.Errorf("aurochs equijoin: %w", err)
 	}
-	pairs := make([]Pair, len(matches))
-	for i, m := range matches {
-		pairs[i] = Pair{Key: m.Get(0), ProbeVal: m.Get(1), BuildVal: m.Get(2)}
+	pairs := make([]Pair, 0, matches.Len())
+	for m := range matches.All() {
+		pairs = append(pairs, Pair{Key: m.Get(0), ProbeVal: m.Get(1), BuildVal: m.Get(2)})
 	}
 	return pairs, secs(res), nil
 }
@@ -88,12 +85,12 @@ func (e *AurochsEngine) SpatialProbe(points []Point, queries []CircleQ) ([]SPair
 		}
 	}
 	tr := buildRTree(points)
-	hits, res, err := core.RTreeWindow(tr, rects, e.Pipelines)
+	hits, res, err := core.RTreeWindowMatches(tr, rects, e.Pipelines)
 	if err != nil {
 		return nil, Cost{}, fmt.Errorf("aurochs spatial: %w", err)
 	}
 	var out []SPair
-	for _, h := range hits {
+	for h := range hits.All() {
 		q := queries[h.Get(1)]
 		if inCircle(byID[h.Get(0)], q) {
 			out = append(out, SPair{ID: h.Get(0), Tag: q.Tag})
@@ -112,13 +109,13 @@ func (e *AurochsEngine) WindowProbe(points []Point, queries []RectQ) ([]SPair, C
 		}
 	}
 	tr := buildRTree(points)
-	hits, res, err := core.RTreeWindow(tr, rects, e.Pipelines)
+	hits, res, err := core.RTreeWindowMatches(tr, rects, e.Pipelines)
 	if err != nil {
 		return nil, Cost{}, fmt.Errorf("aurochs window: %w", err)
 	}
-	out := make([]SPair, len(hits))
-	for i, h := range hits {
-		out[i] = SPair{ID: h.Get(0), Tag: queries[h.Get(1)].Tag}
+	out := make([]SPair, 0, hits.Len())
+	for h := range hits.All() {
+		out = append(out, SPair{ID: h.Get(0), Tag: queries[h.Get(1)].Tag})
 	}
 	return out, secs(res), nil
 }
@@ -132,13 +129,13 @@ func (e *AurochsEngine) TimeRange(entries []KV, lo, hi uint32) ([]uint32, Cost, 
 		items[i] = btree.KV{Key: kv.Key, Val: kv.Val}
 	}
 	tr := btree.Build(h, core.RegionTables, items)
-	hits, res, err := core.BTreeSearch(tr, []core.RangeQuery{{Lo: lo, Hi: hi}}, 1)
+	hits, res, err := core.BTreeSearchMatches(tr, []core.RangeQuery{{Lo: lo, Hi: hi}}, 1)
 	if err != nil {
 		return nil, Cost{}, fmt.Errorf("aurochs timerange: %w", err)
 	}
-	out := make([]uint32, len(hits))
-	for i, r := range hits {
-		out[i] = r.Get(1)
+	out := make([]uint32, 0, hits.Len())
+	for r := range hits.All() {
+		out = append(out, r.Get(1))
 	}
 	return out, secs(res), nil
 }

@@ -59,6 +59,10 @@ type SPair struct {
 // Engine abstracts the physical operators the nine queries are planned
 // over. Every implementation must return identical functional results —
 // the integration tests enforce it — and differ only in Cost.
+//
+// RunAll may call an engine's operators from several goroutines at once
+// (see RunAll for the engines it keeps serial), so an implementation must
+// not share mutable state between calls without synchronising it.
 type Engine interface {
 	// Name identifies the engine in reports.
 	Name() string

@@ -2,7 +2,10 @@ package queries
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"aurochs/internal/ml"
 )
@@ -586,15 +589,55 @@ func Q9(e Engine, d *Dataset) (QueryResult, error) {
 	return res, nil
 }
 
-// RunAll executes the full set on one engine.
-func RunAll(e Engine, d *Dataset) ([]QueryResult, error) {
-	var out []QueryResult
-	for _, q := range All() {
-		r, err := q.Run(e, d)
-		if err != nil {
-			return out, fmt.Errorf("%s on %s: %w", q.Name, e.Name(), err)
-		}
-		out = append(out, r)
+// workersFor is how many goroutines RunAll runs n queries on for e.
+func workersFor(e Engine, n int) int {
+	switch e.(type) {
+	case *CPUEngine, *GPUEngine:
+		return 1
 	}
-	return out, nil
+	return max(1, min(runtime.GOMAXPROCS(0), n))
+}
+
+// RunAll executes the full set on one engine and returns the results in
+// All() order. On an error it returns the results of the queries before the
+// first failing one, plus that query's wrapped error.
+//
+// The queries are independent, so RunAll runs them on up to GOMAXPROCS
+// goroutines, each taking the next query in All() order: the engine's
+// operators may be called from several goroutines at once. Two engines keep
+// the serial loop: the CPU engine, whose cost is host wall-clock time that
+// a concurrent query would inflate, and the GPU engine, whose operators
+// write its LastBuildEff/LastProbeEff fields.
+func RunAll(e Engine, d *Dataset) ([]QueryResult, error) {
+	qs := All()
+	workers := workersFor(e, len(qs))
+	res := make([]QueryResult, len(qs))
+	errs := make([]error, len(qs))
+	if workers == 1 {
+		for i, q := range qs {
+			if res[i], errs[i] = q.Run(e, d); errs[i] != nil {
+				break
+			}
+		}
+	} else {
+		var next atomic.Int32
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := int(next.Add(1)) - 1; i < len(qs); i = int(next.Add(1)) - 1 {
+					res[i], errs[i] = qs[i].Run(e, d)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	for i, err := range errs {
+		if err != nil {
+			// append to nil keeps the serial loop's nil for no results.
+			return append([]QueryResult(nil), res[:i]...), fmt.Errorf("%s on %s: %w", qs[i].Name, e.Name(), err)
+		}
+	}
+	return res, nil
 }

@@ -160,7 +160,17 @@ func (q *Queue[T]) Reset() {
 	q.head, q.n = 0, 0
 }
 
-// grow doubles the backing array, unwrapping the ring so order is kept.
+// Reserve makes room for n elements in all, so a queue whose population
+// has a known bound never grows while it fills: a component presizes its
+// queues once at construction instead of doubling them from 8 in every new
+// graph. It never shrinks the queue.
+func (q *Queue[T]) Reserve(n int) {
+	if n > len(q.buf) {
+		q.resize(n)
+	}
+}
+
+// grow doubles the backing array.
 //
 // lint:hotalloc-ok — classic amortized doubling: each element is copied at
 // most twice over the queue's lifetime, and a queue that has reached its
@@ -171,6 +181,12 @@ func (q *Queue[T]) grow() {
 	if size < 8 {
 		size = 8
 	}
+	q.resize(size)
+}
+
+// resize moves the queue to a backing array of size slots, unwrapping the
+// ring so order is kept.
+func (q *Queue[T]) resize(size int) {
 	buf := make([]T, size)
 	for i := 0; i < q.n; i++ {
 		buf[i] = *q.At(i)

@@ -1,6 +1,10 @@
 package sim
 
-import "aurochs/internal/record"
+import (
+	"sync"
+
+	"aurochs/internal/record"
+)
 
 // Flit is one beat on a link: either a vector of records or the
 // end-of-stream pulse that a tile sends downstream once all of its upstream
@@ -54,6 +58,8 @@ type Link struct {
 	nFly  int     // producer-owned: flits pushed but not yet arrived
 	tail  int     // producer-owned: ring index of the next free slot
 
+	ring *linkRing // the pooled storage behind buf and ready; nil once recycled
+
 	credits int // producer-side: pushes permitted before the next commit
 
 	pushes int64
@@ -95,10 +101,79 @@ func newLink(name string, capacity, latency int) *Link {
 	if credits < 0 {
 		credits = 0
 	}
-	return &Link{name: name, cap: capacity, latency: latency,
-		credits: credits, buf: make([]Flit, credits), ready: make([]int64, credits),
-		id: -1, wasDrained: true}
+	l := &Link{name: name, cap: capacity, latency: latency, credits: credits, id: -1, wasDrained: true}
+	l.acquireRing()
+	return l
 }
+
+// linkRing is one link's ring storage, pooled by capacity.
+type linkRing struct {
+	buf   []Flit
+	ready []int64
+}
+
+// freeRings recycles link rings, keyed by capacity. A kernel builds many
+// short-lived graphs, so a drained run hands its rings back for the next
+// graph instead of leaving ~6.7 KB per link to the collector. The lists are
+// shared by simulations running on different goroutines, hence the lock.
+// They are plain free lists rather than sync.Pools: a sync.Pool drops
+// entries at every collection, and at random under the race detector, so
+// how often a run allocated would depend on the collector. A free list
+// holds at most the rings released at once, which the runs that released
+// them held anyway.
+var freeRings struct {
+	sync.Mutex
+	byCap map[int][]*linkRing
+}
+
+func getRing(capacity int) *linkRing {
+	freeRings.Lock()
+	defer freeRings.Unlock()
+	if free := freeRings.byCap[capacity]; len(free) > 0 {
+		r := free[len(free)-1]
+		freeRings.byCap[capacity] = free[:len(free)-1]
+		return r
+	}
+	return &linkRing{buf: make([]Flit, capacity), ready: make([]int64, capacity)}
+}
+
+func putRing(capacity int, r *linkRing) {
+	freeRings.Lock()
+	defer freeRings.Unlock()
+	if freeRings.byCap == nil {
+		freeRings.byCap = make(map[int][]*linkRing)
+	}
+	freeRings.byCap[capacity] = append(freeRings.byCap[capacity], r)
+}
+
+// acquireRing gives the link ring storage, recycled when one is free. A recycled ring
+// holds stale flits; that is unobservable because the link's own slots are
+// reused the same way — a staged flit is overwritten (Push) or has its mask
+// cleared (StageVec, PushEOS) before anything reads it, and the drained
+// link's indices point at no live slot.
+func (l *Link) acquireRing() {
+	if l.ring != nil || l.cap <= 0 {
+		return
+	}
+	r := getRing(l.cap)
+	l.ring, l.buf, l.ready = r, r.buf, r.ready
+}
+
+// releaseRing returns a drained link's ring for reuse. The link keeps
+// its counters and indices and re-acquires a ring if it is run again.
+func (l *Link) releaseRing() {
+	if l.ring == nil || !l.Drained() {
+		return
+	}
+	putRing(l.cap, l.ring)
+	l.ring, l.buf, l.ready = nil, nil, nil
+}
+
+// Recycled reports whether the link has handed its ring back for reuse:
+// true after a run that drained every link, false after a run that ended
+// in a DeadlockError or BudgetError, whose stuck flits stay in place for
+// inspection.
+func (l *Link) Recycled() bool { return l.ring == nil && l.cap > 0 }
 
 // Name returns the link's identifier.
 func (l *Link) Name() string { return l.name }

@@ -177,6 +177,9 @@ func (s *System) Run(maxCycles int64) (int64, error) {
 // time, so results and error cycles are bit-identical to the polling
 // reference (RunOptions.NoIdleSkip).
 func (s *System) RunWith(maxCycles int64, opt RunOptions) (int64, error) {
+	for _, l := range s.links {
+		l.acquireRing() // a no-op unless an earlier drained run recycled it
+	}
 	grace := s.graceWindow()
 	sched := newScheduler(s)
 	sched.noSkip = opt.NoIdleSkip
@@ -185,6 +188,7 @@ func (s *System) RunWith(maxCycles int64, opt RunOptions) (int64, error) {
 	start := s.cycle
 	for s.cycle-start < maxCycles {
 		if sched.allDone() {
+			s.recycleRings()
 			return s.cycle - start, nil
 		}
 		sched.beginCycle(s.cycle)
@@ -200,9 +204,19 @@ func (s *System) RunWith(maxCycles int64, opt RunOptions) (int64, error) {
 		}
 	}
 	if sched.allDone() {
+		s.recycleRings()
 		return s.cycle - start, nil
 	}
 	return s.cycle - start, &BudgetError{Budget: maxCycles, Cycle: s.cycle, Stuck: s.stuckNames()}
+}
+
+// recycleRings hands every link's ring back for reuse once a run has
+// drained them all. Runs that end in an error keep their rings, so the stuck flits
+// stay inspectable.
+func (s *System) recycleRings() {
+	for _, l := range s.links {
+		l.releaseRing()
+	}
 }
 
 // graceWindow derives the deadlock detector's no-progress tolerance from

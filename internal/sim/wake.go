@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/bits"
+	"sync"
 )
 
 // Event-driven wake scheduling.
@@ -123,8 +124,39 @@ type timerWheel struct {
 	count  int
 }
 
+// freeWheels recycles timer wheels across runs, for the same reason and in
+// the same way as freeRings: a kernel builds many short-lived graphs, and
+// each run's bucket table (wheelSlots slice headers) would otherwise be
+// fresh garbage. A recycled wheel is empty, so reuse is unobservable.
+var freeWheels struct {
+	sync.Mutex
+	list []*timerWheel
+}
+
 func newTimerWheel() *timerWheel {
+	freeWheels.Lock()
+	defer freeWheels.Unlock()
+	if n := len(freeWheels.list); n > 0 {
+		w := freeWheels.list[n-1]
+		freeWheels.list = freeWheels.list[:n-1]
+		return w
+	}
 	return &timerWheel{slots: make([][]timerEnt, wheelSlots), farMin: WakeNever}
+}
+
+// release empties the wheel, keeping its bucket arrays, and returns it for
+// reuse. The caller must not use w afterwards.
+func (w *timerWheel) release() {
+	if w.count > 0 {
+		for i := range w.slots {
+			w.slots[i] = w.slots[i][:0]
+		}
+		w.far = w.far[:0]
+	}
+	w.farMin, w.count = WakeNever, 0
+	freeWheels.Lock()
+	freeWheels.list = append(freeWheels.list, w)
+	freeWheels.Unlock()
 }
 
 // schedule registers a wake for comp at cycle `at` (callers guarantee
@@ -399,11 +431,14 @@ func (sc *scheduler) buildPartnerTables() {
 }
 
 // detach unwires the links from the scheduler once its run is over, so a
-// finished run's scheduler is neither retained nor marked by later link use.
+// finished run's scheduler is neither retained nor marked by later link use,
+// and hands its timer wheel back for reuse.
 func (sc *scheduler) detach() {
 	for _, l := range sc.sys.links {
 		l.sched = nil
 	}
+	sc.wheel.release()
+	sc.wheel = nil
 }
 
 // markLink records link activity for the dirty-list commit. Called from the

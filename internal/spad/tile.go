@@ -182,6 +182,14 @@ func NewTile(cfg Config, mem *Mem, spec Spec, in, out *sim.Link, stats *sim.Stat
 		cOutStall:  stats.Counter(cfg.Name + ".out_stall"),
 	}
 	t.width = t.spec.width()
+	// Presize the issue queues to their bound so a new graph's tile does
+	// not grow each from empty: accept admits a vector only while its
+	// lanes' queues are below IssueDepth.
+	perLane := t.cfg.IssueDepth + (record.NumLanes+t.cfg.Lanes-1)/t.cfg.Lanes
+	slots := make([]qent, t.cfg.Lanes*perLane)
+	for l := range t.queues {
+		t.queues[l] = slots[l*perLane : l*perLane : (l+1)*perLane]
+	}
 	return t
 }
 
