@@ -64,8 +64,20 @@ func HashJoin(hbm *dram.HBM, buildSide, probeSide []record.Rec, opt HashJoinOpti
 // straight out of the sinks (Matches.All) instead of out of a copy. Each
 // generator is called several times per row (the splitter reads the key
 // before the partition pass streams the row), so it must be a pure
-// function of the index.
+// function of the index; the two sides' generators run concurrently.
 func HashJoinIn(hbm *dram.HBM, buildSide, probeSide StreamIn, opt HashJoinOptions) (Matches, Result, error) {
+	return hashJoinIn(hbm, buildSide, probeSide, opt, overlap[[]*PartitionSet])
+}
+
+// partitionPass is one side's partition pass, run on the HBM it is given
+// and adding what it simulated to the Result.
+type partitionPass = func(*dram.HBM, *Result) ([]*PartitionSet, error)
+
+// hashJoinIn is HashJoinIn with the way the two partition passes run as a
+// parameter: overlap in production, in sequence in the tests that hold
+// overlap to the serial result.
+func hashJoinIn(hbm *dram.HBM, buildSide, probeSide StreamIn, opt HashJoinOptions,
+	partitionBoth func(hbm *dram.HBM, total *Result, build, probe partitionPass) (b, p []*PartitionSet, err error)) (Matches, Result, error) {
 	if buildSide.Gen == nil || probeSide.Gen == nil {
 		return nil, Result{}, fmt.Errorf("core: hash join inputs must be generators, not DRAM extents")
 	}
@@ -80,7 +92,6 @@ func HashJoinIn(hbm *dram.HBM, buildSide, probeSide StreamIn, opt HashJoinOption
 		return nil, Result{}, fmt.Errorf("core: pipelines must be a positive power of two, got %d", P)
 	}
 	partsPer := opt.Parts / uint32(P)
-	var total Result
 
 	// --- Phase 1: radix-partition both sides, P pipelines each ---
 	// The splitter network routes records to pipelines on the low hash
@@ -113,51 +124,58 @@ func HashJoinIn(hbm *dram.HBM, buildSide, probeSide StreamIn, opt HashJoinOption
 		return out
 	}
 
-	partitionSide := func(name string, side StreamIn, arenaOff uint32) ([]*PartitionSet, error) {
-		g := fabric.NewGraph()
-		g.AttachHBM(hbm)
-		groups := split(side)
-		sets := make([]*PartitionSet, P)
-		sinks := make([]*fabric.Sink, P)
-		// One uniform arena stride for all pipelines (sized for the whole
-		// input): per-pipeline strides would differ with group sizes and
-		// overlap, cross-linking block chains.
-		proto := DefaultPartitionParams(side.N+P, partsPer, 2)
-		arena := proto.MaxBlocks * (1 + proto.BlockRecs*proto.RecWords)
-		for k := 0; k < P; k++ {
-			pp := proto
-			pp.HashShift = shift
-			pp.Tuning = opt.Tuning
-			pp.BlockBase = RegionPartBlocks + arenaOff + uint32(k)*arena
-			idx := groups[k]
-			in := InFunc(len(idx), func(i int, r *record.Rec) { side.Gen(int(idx[i]), r) })
-			ps, snk, err := PartitionInto(g, fmt.Sprintf("prt.%s%d", name, k), pp, in)
+	// partitionSide returns the pass that partitions one side into its
+	// arena, run on the HBM it is given.
+	partitionSide := func(name string, side StreamIn, arenaOff uint32) partitionPass {
+		return func(hbm *dram.HBM, total *Result) ([]*PartitionSet, error) {
+			g := fabric.NewGraph()
+			g.AttachHBM(hbm)
+			groups := split(side)
+			sets := make([]*PartitionSet, P)
+			sinks := make([]*fabric.Sink, P)
+			// One uniform arena stride for all pipelines (sized for the whole
+			// input): per-pipeline strides would differ with group sizes and
+			// overlap, cross-linking block chains.
+			proto := DefaultPartitionParams(side.N+P, partsPer, 2)
+			arena := proto.MaxBlocks * (1 + proto.BlockRecs*proto.RecWords)
+			for k := 0; k < P; k++ {
+				pp := proto
+				pp.HashShift = shift
+				pp.Tuning = opt.Tuning
+				pp.BlockBase = RegionPartBlocks + arenaOff + uint32(k)*arena
+				idx := groups[k]
+				in := InFunc(len(idx), func(i int, r *record.Rec) { side.Gen(int(idx[i]), r) })
+				ps, snk, err := PartitionInto(g, fmt.Sprintf("prt.%s%d", name, k), pp, in)
+				if err != nil {
+					return nil, err
+				}
+				sets[k], sinks[k] = ps, snk
+			}
+			res, err := runGraph(g, budgetFor(side.N)*4)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("partition %s: %w", name, err)
 			}
-			sets[k], sinks[k] = ps, snk
-		}
-		res, err := runGraph(g, budgetFor(side.N)*4)
-		if err != nil {
-			return nil, fmt.Errorf("partition %s: %w", name, err)
-		}
-		accumulate(&total, res)
-		for k := 0; k < P; k++ {
-			if sinks[k].Count() != len(groups[k]) {
-				return nil, fmt.Errorf("partition %s pipeline %d: stored %d of %d", name, k, sinks[k].Count(), len(groups[k]))
+			accumulate(total, res)
+			for k := 0; k < P; k++ {
+				if sinks[k].Count() != len(groups[k]) {
+					return nil, fmt.Errorf("partition %s pipeline %d: stored %d of %d", name, k, sinks[k].Count(), len(groups[k]))
+				}
 			}
+			FinishPartition(sets...)
+			return sets, nil
 		}
-		FinishPartition(sets...)
-		return sets, nil
 	}
 
-	buildSets, err := partitionSide("b", buildSide, 0)
+	// The two passes write disjoint arenas and read nothing, so the probe
+	// side's runs on a fork of the HBM alongside the build side's.
+	var total Result
+	buildSets, probeSets, err := partitionBoth(hbm, &total,
+		partitionSide("b", buildSide, 0), partitionSide("p", probeSide, 1<<26))
 	if err != nil {
 		return nil, total, err
 	}
-	probeSets, err := partitionSide("p", probeSide, 1<<26)
-	if err != nil {
-		return nil, total, err
+	for _, ps := range probeSets {
+		ps.HBM = hbm
 	}
 
 	// --- Phase 2: per partition pair, build then probe; P pairs at a
@@ -214,6 +232,50 @@ func HashJoinIn(hbm *dram.HBM, buildSide, probeSide StreamIn, opt HashJoinOption
 		found = append(found, psinks...)
 	}
 	return found, total, nil
+}
+
+// overlap runs two phases that would otherwise run one after the other on
+// hbm, first then second, at the same time: first on hbm and second on a
+// fork of it (dram.HBM.Fork). Each phase adds what it simulated to the
+// Result it is given. When first fails, overlap returns its error with
+// total holding what first added, as if second had never started. Else it
+// merges the fork into hbm and adds second's Result to total; when the
+// merge refuses, or second failed or panicked on the fork, it drops the
+// fork and runs second again on hbm. Either way hbm, total and the
+// returned values are what the serial run leaves.
+func overlap[T any](hbm *dram.HBM, total *Result, first, second func(*dram.HBM, *Result) (T, error)) (a, b T, err error) {
+	fork := hbm.Fork()
+	var (
+		forkTotal Result
+		forkErr   error
+	)
+	done := make(chan struct{})
+	// Even when first panics, the fork's goroutine ends before overlap
+	// returns.
+	defer func() { <-done }()
+	go func() {
+		defer close(done)
+		defer func() {
+			// The replay on hbm re-raises a real panic on the caller's
+			// goroutine.
+			if r := recover(); r != nil {
+				forkErr = fmt.Errorf("panic on the fork: %v", r)
+			}
+		}()
+		b, forkErr = second(fork, &forkTotal)
+	}()
+	a, err = first(hbm, total)
+	<-done
+	if err != nil {
+		var none T
+		return a, none, err
+	}
+	if forkErr == nil && hbm.Merge(fork) {
+		accumulate(total, forkTotal)
+		return a, b, nil
+	}
+	b, err = second(hbm, total)
+	return a, b, err
 }
 
 // Matches is a kernel's result stream left where its sinks stored it, in

@@ -15,6 +15,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sort"
 
 	"aurochs/internal/ring"
 )
@@ -111,6 +112,9 @@ type channel struct {
 	queue   ring.Queue[burst]
 	busy    int64 // channel free at this cycle
 	openRow []int // per-bank open row (-1 closed)
+	// firstRow is, in a fork only, the row each bank opened first (-1
+	// untouched); Merge compares it with the parent's open row.
+	firstRow []int
 	// writeBuf is the controller's posted-write combining buffer: at most
 	// wbCap resident bursts, kept sorted by (insertion cycle, address).
 	// Writes to a resident burst merge for free; entries retire to the
@@ -189,6 +193,10 @@ type HBM struct {
 	now          int64
 	need         []int         // scratch for SubmitAt's per-channel reservation tally
 	freeReqs     []*pendingReq // retired read records, reused by SubmitAt
+	// forkOf is the HBM this one was forked from (nil otherwise), and
+	// readForeign records that the fork read a page it had not written.
+	forkOf      *HBM
+	readForeign bool
 
 	// Stats
 	ReadBursts  int64
@@ -233,7 +241,8 @@ func New(cfg Config) *HBM {
 // Config returns the model's configuration.
 func (h *HBM) Config() Config { return h.cfg }
 
-// page returns the backing page for addr, allocating on first touch.
+// page returns the backing page for addr, allocating on first touch. Only
+// writes allocate; reads go through readSpan.
 func (h *HBM) page(addr uint32) []uint32 {
 	id := addr / pageWords
 	if h.pageBuf != nil && id == h.pageID {
@@ -257,10 +266,14 @@ func (h *HBM) span(addr uint32) []uint32 {
 // allocating a page. It is never written.
 var zeroPage [pageWords]uint32
 
-// readSpan is span for the timed read path: a page never written reads
-// from zeroPage instead of being allocated.
+// readSpan is span for reads: a page never written reads from zeroPage
+// instead of being allocated. A fork notes the read, since its parent's
+// copy of the page might not be zeros.
 func (h *HBM) readSpan(addr uint32) []uint32 {
 	if id := addr / pageWords; (h.pageBuf == nil || id != h.pageID) && h.pages[id] == nil {
+		if h.forkOf != nil {
+			h.readForeign = true
+		}
 		return zeroPage[addr%pageWords:]
 	}
 	return h.span(addr)
@@ -268,7 +281,7 @@ func (h *HBM) readSpan(addr uint32) []uint32 {
 
 // ReadWord performs an untimed functional read (setup and verification).
 func (h *HBM) ReadWord(addr uint32) uint32 {
-	return h.page(addr)[addr%pageWords]
+	return h.readSpan(addr)[0]
 }
 
 // WriteWord performs an untimed functional write (setup and verification).
@@ -292,7 +305,7 @@ func (h *HBM) SnapshotWords(base uint32, n int) []uint32 {
 // and returns it: SnapshotWords into a caller-owned buffer.
 func (h *HBM) ReadWords(dst []uint32, base uint32) []uint32 {
 	for off := 0; off < len(dst); {
-		off += copy(dst[off:], h.span(base+uint32(off)))
+		off += copy(dst[off:], h.readSpan(base+uint32(off)))
 	}
 	return dst
 }
@@ -441,6 +454,9 @@ func (h *HBM) Tick(cycle int64) {
 		fifo, at := &h.hits, cycle+int64(h.cfg.RowHitLatency)
 		if ch.openRow[b.bank] != b.row {
 			fifo, at = &h.misses, at+int64(h.cfg.RowMissPenalty)
+			if ch.firstRow != nil && ch.openRow[b.bank] < 0 {
+				ch.firstRow[b.bank] = b.row
+			}
 			ch.openRow[b.bank] = b.row
 			h.RowMisses++
 		} else {
@@ -531,8 +547,10 @@ func (h *HBM) finishBurst(b burst) {
 
 // ResetClock rebases the model's absolute-cycle state to zero so a new
 // simulation (sharing this HBM across kernel phases) can start its clock
-// from scratch. Queues and in-flight requests must be drained; row-buffer
-// state persists (locality across phases is real).
+// from zero. Queues and in-flight requests must be drained. Row-buffer
+// state persists, since locality across phases is real; a phase simulated
+// on a Fork starts with every row closed instead, and Merge accepts it
+// only where that made no difference.
 func (h *HBM) ResetClock() {
 	if !h.Drained() {
 		panic("dram: ResetClock with work in flight")
@@ -638,4 +656,92 @@ func (h *HBM) FlushWrites() {
 		h.WriteBursts += int64(len(ch.writeBuf))
 		ch.writeBuf = ch.writeBuf[:0]
 	}
+}
+
+// Fork returns an HBM with h's configuration, every row closed, its clock
+// at zero, and its own empty pages and counters. It simulates the phase
+// that follows h's current one while h is still running that phase. The
+// fork records the row each bank opens first and whether it reads a page
+// it did not write, which Merge needs to decide whether the phase would
+// have gone the same way on h. Fork reads only h's configuration, so
+// another goroutine may be using h meanwhile; like h, the fork serves one
+// goroutine at a time.
+func (h *HBM) Fork() *HBM {
+	f := New(h.cfg)
+	f.forkOf = h
+	for _, ch := range f.chans {
+		ch.firstRow = slices.Clone(ch.openRow)
+	}
+	return f
+}
+
+// Merge folds the phase simulated on fork f into h, after h's own phase
+// has finished (both drained, with no resident posted writes, as a
+// kernel's runGraph leaves them). It returns true when f's phase is
+// exactly what the same phase would have simulated had it started on h
+// with h's clock reset: same bursts at the same cycles, same hits and
+// misses, same data. That holds unless
+//
+//   - a bank's first row in f is h's open row for that bank (on h the
+//     first burst would have hit, not missed);
+//   - f read a page it did not write (on h it would have seen h's data);
+//   - h and f both wrote the same page (one copy would lose the other's
+//     words).
+//
+// In those cases Merge returns false and changes nothing; the caller
+// drops f and replays its phase on h. Otherwise h adopts f's pages, the
+// open rows of the banks f touched and f's clock, and adds f's counters.
+// f must not be used afterwards.
+func (h *HBM) Merge(f *HBM) bool {
+	if f.forkOf != h {
+		panic("dram: Merge of an HBM that is not a fork of this one")
+	}
+	if !h.Idle() || !f.Idle() {
+		panic("dram: Merge with work in flight or resident posted writes")
+	}
+	if f.readForeign {
+		return false
+	}
+	for c, fc := range f.chans {
+		for b, row := range fc.firstRow {
+			if row >= 0 && h.chans[c].openRow[b] == row {
+				return false
+			}
+		}
+	}
+	ids := make([]uint32, 0, len(f.pages))
+	for id := range f.pages {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for _, id := range ids {
+		if h.pages[id] != nil {
+			return false
+		}
+	}
+
+	for _, id := range ids {
+		h.pages[id] = f.pages[id]
+	}
+	for c, fc := range f.chans {
+		hc := h.chans[c]
+		for b, row := range fc.openRow {
+			if row < 0 {
+				continue
+			}
+			if hc.firstRow != nil && hc.openRow[b] < 0 {
+				hc.firstRow[b] = fc.firstRow[b] // h is itself a fork
+			}
+			hc.openRow[b] = row
+		}
+		hc.busy = fc.busy
+	}
+	h.now = f.now
+	h.ReadBursts += f.ReadBursts
+	h.WriteBursts += f.WriteBursts
+	h.RowHits += f.RowHits
+	h.RowMisses += f.RowMisses
+	h.Stalls += f.Stalls
+	h.CoalescedWrites += f.CoalescedWrites
+	return true
 }

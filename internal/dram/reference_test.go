@@ -267,14 +267,21 @@ type event struct {
 	data  []uint32
 }
 
-// refDiff drives the model and the oracle with one seeded workload and
-// returns the first divergence. The oracle ticks every cycle. The model
-// ticks every cycle too unless eventDriven is set; then it is scheduled
-// the way the fabric kernel schedules it — a submission wakes it, an
-// examined cycle where QuiescentAt holds puts it to sleep until NextEvent
-// — and every slept-through cycle must itself be quiescent.
-func refDiff(seed int64, eventDriven bool) error {
-	rng := rand.New(rand.NewSource(seed))
+// refPair runs a model and the oracle through seeded phases of random
+// traffic in one region of memory and logs every callback each of them
+// fires.
+type refPair struct {
+	rng       *rand.Rand
+	cfg       Config
+	base      uint32 // start of the region the traffic addresses
+	streams   [4]uint32
+	got, want []event
+	cycle     int64
+	id        int
+}
+
+// refConfig draws a random model configuration.
+func refConfig(rng *rand.Rand) Config {
 	cfg := Config{
 		Channels:        1 << rng.Intn(5),
 		BanksPerChannel: 1 + rng.Intn(4),
@@ -285,140 +292,182 @@ func refDiff(seed int64, eventDriven bool) error {
 		QueueDepth:      1 + rng.Intn(32),
 	}
 	cfg.RowWords = cfg.BurstWords << rng.Intn(5)
-	h, ref := New(cfg), newRefHBM(cfg)
+	return cfg
+}
+
+// preload writes the same random chunks, untimed, into the model and the
+// oracle.
+func (d *refPair) preload(h *HBM, ref *refHBM) {
 	for i := 0; i < 4; i++ {
-		base, n := uint32(rng.Intn(4*pageWords)), 1+rng.Intn(2*pageWords)
-		data := make([]uint32, n)
-		for j := range data {
-			data[j] = rng.Uint32()
-		}
-		h.LoadWords(base, data)
-		for j, v := range data {
-			ref.WriteWord(base+uint32(j), v)
+		base, n := d.base+uint32(d.rng.Intn(4*pageWords)), 1+d.rng.Intn(2*pageWords)
+		d.load(h, ref, base, n)
+	}
+}
+
+// load writes n random words at base into the model and the oracle.
+func (d *refPair) load(h *HBM, ref *refHBM, base uint32, n int) {
+	data := make([]uint32, n)
+	for j := range data {
+		data[j] = d.rng.Uint32()
+	}
+	h.LoadWords(base, data)
+	for j, v := range data {
+		ref.WriteWord(base+uint32(j), v)
+	}
+}
+
+// startStreams places the four sequential streams in the region.
+func (d *refPair) startStreams() {
+	for i := range d.streams {
+		d.streams[i] = d.base + uint32(d.rng.Intn(4*pageWords))
+	}
+}
+
+// checkCallbacks compares the callbacks the model and the oracle fired.
+func (d *refPair) checkCallbacks(phase int) error {
+	if len(d.got) != len(d.want) {
+		return fmt.Errorf("phase %d cycle %d: %d callbacks, oracle %d", phase, d.cycle, len(d.got), len(d.want))
+	}
+	for i := range d.got {
+		g, w := d.got[i], d.want[i]
+		if g.cycle != w.cycle || g.id != w.id || !slices.Equal(g.data, w.data) {
+			return fmt.Errorf("phase %d callback %d: got (cycle %d, req %d, %d words), oracle (cycle %d, req %d, %d words)",
+				phase, i, g.cycle, g.id, len(g.data), w.cycle, w.id, len(w.data))
 		}
 	}
+	return nil
+}
 
-	var got, want []event
-	var cycle int64
+// check compares the callbacks, the counters and the bytes moved.
+func (d *refPair) check(h *HBM, ref *refHBM, phase int) error {
+	if err := d.checkCallbacks(phase); err != nil {
+		return err
+	}
+	if h.counters() != ref.counters() {
+		return fmt.Errorf("phase %d cycle %d: counters %v, oracle %v", phase, d.cycle, h.counters(), ref.counters())
+	}
+	if h.BytesMoved() != (ref.ReadBursts+ref.WriteBursts)*int64(d.cfg.BurstWords)*4 {
+		return fmt.Errorf("phase %d: BytesMoved diverged", phase)
+	}
+	return nil
+}
+
+// phase runs one phase of traffic on the model and the oracle until both
+// drain. The oracle ticks every cycle. The model ticks every cycle too
+// unless eventDriven is set; then it is scheduled the way the fabric
+// kernel schedules it — a submission wakes it, an examined cycle where
+// QuiescentAt holds puts it to sleep until NextEvent — and every
+// slept-through cycle must itself be quiescent.
+func (d *refPair) phase(h *HBM, ref *refHBM, phase int, eventDriven bool) error {
+	rng, cfg := d.rng, d.cfg
 	record := func(log *[]event, id int) func([]uint32) {
-		return func(d []uint32) {
-			*log = append(*log, event{cycle: cycle, id: id, data: slices.Clone(d)})
+		return func(data []uint32) {
+			*log = append(*log, event{cycle: d.cycle, id: id, data: slices.Clone(data)})
 		}
 	}
-	check := func(phase int) error {
-		if len(got) != len(want) {
-			return fmt.Errorf("phase %d cycle %d: %d callbacks, oracle %d", phase, cycle, len(got), len(want))
+	active := int64(200 + rng.Intn(1500))
+	awake, wake := true, int64(0)
+	retry := []Request(nil)
+	for d.cycle = 0; ; d.cycle++ {
+		cycle := d.cycle
+		if cycle >= active && len(retry) == 0 && h.Drained() && ref.Drained() {
+			return nil
 		}
-		for i := range got {
-			g, w := got[i], want[i]
-			if g.cycle != w.cycle || g.id != w.id || !slices.Equal(g.data, w.data) {
-				return fmt.Errorf("phase %d callback %d: got (cycle %d, req %d, %d words), oracle (cycle %d, req %d, %d words)",
-					phase, i, g.cycle, g.id, len(g.data), w.cycle, w.id, len(w.data))
+		if cycle > active+1_000_000 {
+			return fmt.Errorf("phase %d: never drained", phase)
+		}
+		// Submissions: retries first, then fresh requests in bursty
+		// cycles, with idle gaps long enough for write age-outs.
+		var reqs []Request
+		reqs, retry = retry, nil
+		if cycle < active && (cycle/64)%8 != 7 {
+			for k := rng.Intn(4); k > 0; k-- {
+				var addr uint32
+				switch rng.Intn(3) {
+				case 0: // sequential stream: row hits, combining
+					s := rng.Intn(len(d.streams))
+					addr = d.streams[s]
+					d.streams[s] += uint32(1 + rng.Intn(8))
+				case 1: // near a page boundary
+					addr = d.base + uint32(1+rng.Intn(4))*pageWords - uint32(rng.Intn(20))
+				default: // scattered: row misses
+					addr = d.base + uint32(rng.Intn(4*pageWords))
+				}
+				words := 1 + rng.Intn(40)
+				if rng.Intn(4) == 0 {
+					words = 1 + rng.Intn(cfg.BurstWords)
+				}
+				req := Request{Addr: addr, Words: words, Write: rng.Intn(2) == 0}
+				if req.Write {
+					req.Data = make([]uint32, words)
+					for j := range req.Data {
+						req.Data[j] = rng.Uint32()
+					}
+				}
+				reqs = append(reqs, req)
 			}
 		}
-		if h.counters() != ref.counters() {
-			return fmt.Errorf("phase %d cycle %d: counters %v, oracle %v", phase, cycle, h.counters(), ref.counters())
+		for _, req := range reqs {
+			d.id++
+			a, b := req, req
+			a.Done, b.Done = record(&d.got, d.id), record(&d.want, d.id)
+			okA, okB := h.SubmitAt(cycle, a), ref.SubmitAt(cycle, b)
+			if okA != okB {
+				return fmt.Errorf("phase %d cycle %d: submit accepted=%v, oracle %v", phase, cycle, okA, okB)
+			}
+			if okA {
+				awake = true
+			} else if rng.Intn(4) != 0 {
+				retry = append(retry, req)
+			}
 		}
-		if h.BytesMoved() != (ref.ReadBursts+ref.WriteBursts)*int64(cfg.BurstWords)*4 {
-			return fmt.Errorf("phase %d: BytesMoved diverged", phase)
-		}
-		return nil
-	}
 
-	id := 0
-	streams := [4]uint32{}
-	for i := range streams {
-		streams[i] = uint32(rng.Intn(4 * pageWords))
+		if !eventDriven {
+			h.Tick(cycle)
+		} else {
+			if !awake && cycle >= wake {
+				awake = true // the timer fired
+			}
+			if awake {
+				if h.QuiescentAt(cycle) {
+					awake, wake = false, h.NextEvent()
+					if wake <= cycle {
+						return fmt.Errorf("phase %d cycle %d: NextEvent %d is not in the future", phase, cycle, wake)
+					}
+				} else {
+					h.Tick(cycle)
+				}
+			} else if !h.QuiescentAt(cycle) {
+				return fmt.Errorf("phase %d cycle %d: work due before NextEvent %d", phase, cycle, wake)
+			}
+		}
+		ref.Tick(cycle)
+		if h.Drained() != ref.Drained() {
+			return fmt.Errorf("phase %d cycle %d: Drained=%v, oracle %v", phase, cycle, h.Drained(), ref.Drained())
+		}
 	}
+}
+
+// refDiff drives the model and the oracle with one seeded workload of
+// four phases and returns the first divergence.
+func refDiff(seed int64, eventDriven bool) error {
+	rng := rand.New(rand.NewSource(seed))
+	d := &refPair{rng: rng, cfg: refConfig(rng)}
+	h, ref := New(d.cfg), newRefHBM(d.cfg)
+	d.preload(h, ref)
+	d.startStreams()
 	for phase := 0; phase < 4; phase++ {
-		active := int64(200 + rng.Intn(1500))
-		awake, wake := true, int64(0)
-		retry := []Request(nil)
-		for cycle = 0; ; cycle++ {
-			if cycle >= active && len(retry) == 0 && h.Drained() && ref.Drained() {
-				break
-			}
-			if cycle > active+1_000_000 {
-				return fmt.Errorf("phase %d: never drained", phase)
-			}
-			// Submissions: retries first, then fresh requests in bursty
-			// cycles, with idle gaps long enough for write age-outs.
-			var reqs []Request
-			reqs, retry = retry, nil
-			if cycle < active && (cycle/64)%8 != 7 {
-				for k := rng.Intn(4); k > 0; k-- {
-					var addr uint32
-					switch rng.Intn(3) {
-					case 0: // sequential stream: row hits, combining
-						s := rng.Intn(len(streams))
-						addr = streams[s]
-						streams[s] += uint32(1 + rng.Intn(8))
-					case 1: // near a page boundary
-						addr = uint32(1+rng.Intn(4))*pageWords - uint32(rng.Intn(20))
-					default: // scattered: row misses
-						addr = uint32(rng.Intn(4 * pageWords))
-					}
-					words := 1 + rng.Intn(40)
-					if rng.Intn(4) == 0 {
-						words = 1 + rng.Intn(cfg.BurstWords)
-					}
-					req := Request{Addr: addr, Words: words, Write: rng.Intn(2) == 0}
-					if req.Write {
-						req.Data = make([]uint32, words)
-						for j := range req.Data {
-							req.Data[j] = rng.Uint32()
-						}
-					}
-					reqs = append(reqs, req)
-				}
-			}
-			for _, req := range reqs {
-				id++
-				a, b := req, req
-				a.Done, b.Done = record(&got, id), record(&want, id)
-				okA, okB := h.SubmitAt(cycle, a), ref.SubmitAt(cycle, b)
-				if okA != okB {
-					return fmt.Errorf("phase %d cycle %d: submit accepted=%v, oracle %v", phase, cycle, okA, okB)
-				}
-				if okA {
-					awake = true
-				} else if rng.Intn(4) != 0 {
-					retry = append(retry, req)
-				}
-			}
-
-			if !eventDriven {
-				h.Tick(cycle)
-			} else {
-				if !awake && cycle >= wake {
-					awake = true // the timer fired
-				}
-				if awake {
-					if h.QuiescentAt(cycle) {
-						awake, wake = false, h.NextEvent()
-						if wake <= cycle {
-							return fmt.Errorf("phase %d cycle %d: NextEvent %d is not in the future", phase, cycle, wake)
-						}
-					} else {
-						h.Tick(cycle)
-					}
-				} else if !h.QuiescentAt(cycle) {
-					return fmt.Errorf("phase %d cycle %d: work due before NextEvent %d", phase, cycle, wake)
-				}
-			}
-			ref.Tick(cycle)
-			if h.Drained() != ref.Drained() {
-				return fmt.Errorf("phase %d cycle %d: Drained=%v, oracle %v", phase, cycle, h.Drained(), ref.Drained())
-			}
+		if err := d.phase(h, ref, phase, eventDriven); err != nil {
+			return err
 		}
-		if err := check(phase); err != nil {
+		if err := d.check(h, ref, phase); err != nil {
 			return err
 		}
 		// Between phases: sometimes flush, always rebase the clock.
 		if rng.Intn(2) == 0 {
 			h.FlushWrites()
 			ref.FlushWrites()
-			if err := check(phase); err != nil {
+			if err := d.check(h, ref, phase); err != nil {
 				return err
 			}
 		}
@@ -433,7 +482,7 @@ func refDiff(seed int64, eventDriven bool) error {
 	}
 	h.FlushWrites()
 	ref.FlushWrites()
-	return check(-1)
+	return d.check(h, ref, -1)
 }
 
 func refSnapshot(h *refHBM, base uint32, n int) []uint32 {

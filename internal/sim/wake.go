@@ -144,15 +144,23 @@ func newTimerWheel() *timerWheel {
 	return &timerWheel{slots: make([][]timerEnt, wheelSlots), farMin: WakeNever}
 }
 
-// release empties the wheel, keeping its bucket arrays, and returns it for
-// reuse. The caller must not use w afterwards.
+// keptBucketCap is the largest bucket array a released wheel keeps. Most
+// buckets stay this small; the few a run grew past it would pin their
+// arrays on the free list between runs, and dropping every array instead
+// makes a run's allocations depend on its wake pattern.
+const keptBucketCap = 8
+
+// release empties the wheel, keeping its small bucket arrays, and returns
+// it for reuse. The caller must not use w afterwards.
 func (w *timerWheel) release() {
-	if w.count > 0 {
-		for i := range w.slots {
-			w.slots[i] = w.slots[i][:0]
+	for i, b := range w.slots {
+		if cap(b) > keptBucketCap {
+			w.slots[i] = nil
+		} else {
+			w.slots[i] = b[:0]
 		}
-		w.far = w.far[:0]
 	}
+	w.far = w.far[:0]
 	w.farMin, w.count = WakeNever, 0
 	freeWheels.Lock()
 	freeWheels.list = append(freeWheels.list, w)
