@@ -115,19 +115,7 @@ func ProbeHashTableInto(g *fabric.Graph, pf string, ht *HashTable, probes Stream
 	}, headOut, []fabric.Output{{Link: ext}}, nil).Typed(fullS))
 
 	// --- recirculating chain walk ---
-	// Admission bound: the walk loop spans 8 links (body, toSpad, toDram,
-	// fromSpad, fromDram, fetched, forked, recirc), each LinkCapacity flits
-	// of NumLanes threads. When probe chains are long — a radix-partitioned
-	// join reuses the partition hash bits, so only 1/Parts of the buckets
-	// are populated and chains run Parts nodes deep — a thread laps the
-	// loop once per chain node, and an ungated entry fills every slot of
-	// the ring: total credit-cycle deadlock (observed at 512K rows,
-	// fig. 11a). Capping the live population at half the ring's token
-	// capacity leaves the loop permanent slack to drain while still
-	// keeping far more threads in flight than the spad tile can serve
-	// per cycle, so steady-state throughput is unaffected.
-	const loopLinks = 8
-	ctl := fabric.NewLoopCtl().Limit(loopLinks * fabric.LinkCapacity * record.NumLanes / 2)
+	ctl := fabric.NewLoopCtl()
 	body := g.Link(pf + ".body")
 	recirc := g.Link(pf + ".recirc")
 	g.Add(fabric.NewLoopMerge(pf+".entry", recirc, ext, body, ctl).Typed(fullS, fullS, fullS))

@@ -16,27 +16,15 @@ import (
 // ended and no thread remains in flight.
 type LoopCtl struct {
 	inflight int64
-	extEOS   bool
-	// limit, when non-zero, is the admission bound: the loop entry stops
-	// pulling external records once inflight+incoming would exceed it. A
-	// recirculating pipeline deadlocks when its live thread population
-	// reaches the loop's total token capacity (every link slot full, every
-	// component blocked on the next); bounding admission strictly below
-	// that capacity makes the classic ring-saturation wedge unreachable.
+	// limit is the admission bound (0 = unbounded): the loop entry stops
+	// pulling external records once inflight+incoming would exceed it.
+	// Graph.Check derives it from the loop's ring (admission.go).
 	// Recirculating traffic is never gated — it must keep draining.
 	limit int64
 }
 
 // NewLoopCtl returns a fresh loop control.
 func NewLoopCtl() *LoopCtl { return &LoopCtl{} }
-
-// Limit sets the admission bound (0 = unbounded) and returns the control
-// for chaining. Kernels with long recirculation (chain walks, retry loops)
-// set it below the loop's token capacity; see CanAdmit.
-func (c *LoopCtl) Limit(n int64) *LoopCtl {
-	c.limit = n
-	return c
-}
 
 // CanAdmit reports whether n more threads may enter the loop without
 // exceeding the admission bound.
@@ -529,7 +517,8 @@ func (m *Merge) Tick(cycle int64) {
 			m.sec.Drop()
 			m.secEOS = true
 		case m.ctl != nil && !m.ctl.CanAdmit(f.Vec.Count()):
-			// Admission bound reached: hold the external vector on its
+			// The loop's admission bound (derived from its ring by
+			// Graph.Check) is reached: hold the external vector on its
 			// link until exits free loop slots. The recirculating path
 			// above is never gated, so the loop keeps draining and
 			// inflight monotonically falls until admission reopens.

@@ -158,7 +158,9 @@ func (g *Graph) attribute() ([]sim.Component, map[*sim.Link]*linkEnds, []Diag) {
 // Check statically verifies the wired graph and returns a *CheckError
 // listing every defect found, or nil when the topology is sound. Run calls
 // it automatically; call it directly to validate a graph without
-// simulating.
+// simulating. Check also installs each loop's admission bound, derived
+// from its ring (admission.go), so a graph started with Sys.Run after
+// Check runs exactly as Run would run it.
 func (g *Graph) Check() error {
 	diags := append([]Diag(nil), g.defects...)
 
@@ -247,6 +249,7 @@ func (g *Graph) Check() error {
 // requires each non-trivial one (a recirculating pipeline) to contain a
 // loop-entry Merge: without the drain protocol, end-of-stream can never
 // leave the cycle and the simulation deadlocks after the work is done.
+// From the same rings it arms every loop's admission bound (admission.go).
 func (g *Graph) checkCycles(comps []sim.Component, ends map[*sim.Link]*linkEnds) []Diag {
 	n := len(comps)
 	adj := make([][]int32, n)
@@ -303,6 +306,7 @@ func (g *Graph) checkCycles(comps []sim.Component, ends map[*sim.Link]*linkEnds)
 				strings.Join(member, ", "))})
 	}
 	diags = append(diags, g.checkLoopEntries(comps, ends, inCycle)...)
+	g.armAdmission(comps, ends, inCycle, len(sccs))
 	return diags
 }
 

@@ -23,7 +23,8 @@
 // Cyclic graphs — the paper's recirculating while-loops — are coordinated
 // by a LoopCtl that implements the stream-end token protocol of §III-A:
 // end-of-stream leaves a loop only after the cyclic pipeline has provably
-// emptied.
+// emptied. Its admission bound, which keeps the loop below saturation, is
+// derived from the ring's links when the graph is checked (admission.go).
 package fabric
 
 import (

@@ -74,7 +74,7 @@ func VerifyIdleContract(sys *System, maxCycles int64) error {
 	if sys.allDone() {
 		return nil
 	}
-	return &BudgetError{Budget: maxCycles, Cycle: sys.cycle, Stuck: sys.stuckNames()}
+	return &BudgetError{Budget: maxCycles, Cycle: sys.cycle, Stuck: sys.stuckNames(), Links: sys.stuckLinks()}
 }
 
 // WakeViolation reports a breach of the wake-registration contract
@@ -131,7 +131,7 @@ func VerifyWakeContract(sys *System, maxCycles int64) error {
 	if sched.allDone() {
 		return nil
 	}
-	return &BudgetError{Budget: maxCycles, Cycle: sys.cycle, Stuck: sys.stuckNames()}
+	return &BudgetError{Budget: maxCycles, Cycle: sys.cycle, Stuck: sys.stuckNames(), Links: sys.stuckLinks()}
 }
 
 // linkTotals sums cumulative push and pop counts across every link —

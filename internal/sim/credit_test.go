@@ -126,8 +126,9 @@ func (d *drain) Tick(int64) {
 }
 
 // TestBudgetErrorTyped: budget exhaustion with live traffic is a
-// *BudgetError carrying the budget, cycle, and stuck components — distinct
-// from *DeadlockError, which means no progress.
+// *BudgetError carrying the budget, cycle, stuck components and the links
+// still holding flits — distinct from *DeadlockError, which means no
+// progress.
 func TestBudgetErrorTyped(t *testing.T) {
 	s := NewSystem()
 	l := s.NewLink("busy", 4, 1)
@@ -151,6 +152,9 @@ func TestBudgetErrorTyped(t *testing.T) {
 	}
 	if len(be.Stuck) == 0 {
 		t.Fatal("BudgetError did not name stuck components")
+	}
+	if len(be.Links) != 1 || be.Links[0].Name != "busy" {
+		t.Fatalf("BudgetError links %v, want the busy link", be.Links)
 	}
 }
 

@@ -14,6 +14,7 @@ package sim
 import (
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // Component is one clocked element of the fabric: a compute tile, a
@@ -132,11 +133,12 @@ func (s *System) NewLink(name string, capacity, latency int) *Link {
 // all components drained.
 type DeadlockError struct {
 	Cycle int64
-	Stuck []string // components not Done
+	Stuck []string    // components not Done
+	Links []LinkState // links still holding flits, in creation order
 }
 
 func (e *DeadlockError) Error() string {
-	return fmt.Sprintf("sim: deadlock at cycle %d; stuck components: %v", e.Cycle, e.Stuck)
+	return fmt.Sprintf("sim: deadlock at cycle %d; stuck components: %v; links holding flits: %s", e.Cycle, e.Stuck, formatLinks(e.Links))
 }
 
 // BudgetError reports a simulation that exhausted its cycle budget while
@@ -146,11 +148,35 @@ func (e *DeadlockError) Error() string {
 type BudgetError struct {
 	Budget int64
 	Cycle  int64
-	Stuck  []string // components not Done
+	Stuck  []string    // components not Done
+	Links  []LinkState // links still holding flits, in creation order
 }
 
 func (e *BudgetError) Error() string {
-	return fmt.Sprintf("sim: cycle budget %d exhausted at cycle %d; stuck components: %v", e.Budget, e.Cycle, e.Stuck)
+	return fmt.Sprintf("sim: cycle budget %d exhausted at cycle %d; stuck components: %v; links holding flits: %s", e.Budget, e.Cycle, e.Stuck, formatLinks(e.Links))
+}
+
+// LinkState is one link's occupancy when a run failed: the flits its
+// consumer can pop, the flits still in flight towards it, and the credits
+// its producer holds. A ring of links at visible=capacity, credits=0 is a
+// saturated loop: every member waits on the next.
+type LinkState struct {
+	Name     string
+	Visible  int
+	InFlight int
+	Credits  int
+}
+
+func (ls LinkState) String() string {
+	return fmt.Sprintf("%s visible=%d inflight=%d credits=%d", ls.Name, ls.Visible, ls.InFlight, ls.Credits)
+}
+
+func formatLinks(ls []LinkState) string {
+	s := make([]string, len(ls))
+	for i, l := range ls {
+		s[i] = l.String()
+	}
+	return "[" + strings.Join(s, ", ") + "]"
 }
 
 // RunOptions selects the reference mode of the tick kernel.
@@ -199,7 +225,7 @@ func (s *System) RunWith(maxCycles int64, opt RunOptions) (int64, error) {
 		} else {
 			idle++
 			if idle > grace {
-				return s.cycle - start, &DeadlockError{Cycle: s.cycle, Stuck: s.stuckNames()}
+				return s.cycle - start, &DeadlockError{Cycle: s.cycle, Stuck: s.stuckNames(), Links: s.stuckLinks()}
 			}
 		}
 	}
@@ -207,7 +233,7 @@ func (s *System) RunWith(maxCycles int64, opt RunOptions) (int64, error) {
 		s.recycleRings()
 		return s.cycle - start, nil
 	}
-	return s.cycle - start, &BudgetError{Budget: maxCycles, Cycle: s.cycle, Stuck: s.stuckNames()}
+	return s.cycle - start, &BudgetError{Budget: maxCycles, Cycle: s.cycle, Stuck: s.stuckNames(), Links: s.stuckLinks()}
 }
 
 // recycleRings hands every link's ring back for reuse once a run has
@@ -272,5 +298,17 @@ func (s *System) stuckNames() []string {
 		}
 	}
 	sort.Strings(out)
+	return out
+}
+
+// stuckLinks reports every link that still holds flits, for the error of
+// a run that did not drain.
+func (s *System) stuckLinks() []LinkState {
+	var out []LinkState
+	for _, l := range s.links {
+		if !l.Drained() {
+			out = append(out, LinkState{Name: l.name, Visible: l.nVis, InFlight: l.nFly, Credits: l.credits})
+		}
+	}
 	return out
 }

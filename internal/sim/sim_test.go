@@ -2,6 +2,8 @@ package sim
 
 import (
 	"errors"
+	"reflect"
+	"strings"
 	"testing"
 
 	"aurochs/internal/record"
@@ -180,6 +182,30 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 	if len(dl.Stuck) != 1 || dl.Stuck[0] != "stuck" {
 		t.Errorf("stuck list: %v", dl.Stuck)
+	}
+}
+
+// TestDeadlockErrorShowsLinkState: a deadlock names every link still
+// holding flits with its visible flits, in-flight flits and producer
+// credits, so a saturated ring reads as visible=capacity, credits=0
+// without a debugger; drained links are left out.
+func TestDeadlockErrorShowsLinkState(t *testing.T) {
+	s := NewSystem()
+	full := s.NewLink("full", 3, 1)
+	s.NewLink("empty", 2, 1)
+	s.Add(&producer{out: full, n: 10})
+	s.Add(stuckComp{})
+	_, err := s.Run(100_000)
+	var dl *DeadlockError
+	if !errors.As(err, &dl) {
+		t.Fatalf("want DeadlockError, got %v", err)
+	}
+	want := []LinkState{{Name: "full", Visible: 3, InFlight: 0, Credits: 0}}
+	if !reflect.DeepEqual(dl.Links, want) {
+		t.Errorf("links %v, want %v", dl.Links, want)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "full visible=3 inflight=0 credits=0") {
+		t.Errorf("error text does not show the link state: %s", msg)
 	}
 }
 
