@@ -5,14 +5,14 @@
 //
 // Usage:
 //
-//	go run ./cmd/aurochs-vet [-json] [-all] [-graphs] [-schemas] [-fixture name] [-wake] [-allocs] [packages]
+//	go run ./cmd/aurochs-vet [-json] [-all] [-graphs] [-schemas] [-fixture name] [-allocs] [packages]
 //
 // Packages default to ./... — directories are classified by path:
 //
 //   - internal/sim, internal/fabric, internal/spad, internal/dram (the
 //     cycle-level core) get the full determinism rule set (wallclock,
 //     globalrand, maprange, print) plus the contract analyzers
-//     (sharedstate, tickpurity);
+//     (tickpurity, orderdep);
 //   - other internal packages get print hygiene plus the contract
 //     analyzers — components are defined outside the core too (kernels in
 //     internal/core), and the contract analyzers are no-ops on packages
@@ -40,22 +40,20 @@
 // points it at the deliberately wedging "flowbad" fixture to prove the
 // flow gate still rejects, and at "flowclean" to prove it still accepts.
 //
-// -wake adds the missed-wake prover (wakeprop) and -allocs the hot-path
-// allocation prover (hotalloc) over the engine packages (internal/sim,
-// fabric, spad, ring, core) — see DESIGN.md §11. Reviewed sites carry
-// lint:wakeprop-ok / lint:hotalloc-ok markers and surface as waived. -all
-// enables every analyzer family at once (-graphs -schemas -wake -allocs) —
-// the CI gate, so a new analyzer can never be silently left out of the
-// pipeline.
+// -allocs adds the hot-path allocation prover (hotalloc) over the engine
+// packages (internal/sim, fabric, spad, ring, core) — see DESIGN.md §11.
+// Reviewed sites carry lint:hotalloc-ok markers. -all enables every
+// analyzer family at once (-graphs -schemas -allocs) — the CI gate, so a
+// new analyzer can never be silently left out of the pipeline.
 //
 // Exit status is 1 when error-severity findings exist, 2 on usage or I/O
 // errors; warnings and waived findings are reported without failing the
 // run. The stderr census line counts findings per enabled analyzer family,
 // zeros included, so a family that silently stopped reporting is visible. The dynamic half of the same contracts
 // is fabric.Graph.Check, which validates graph topology at Run time,
-// sim.VerifyIdleContract/VerifyWakeContract, which audit Idle answers and
-// wake coverage in the conformance tests, and the AllocsPerRun gates that
-// pin the measured hot path at zero allocations.
+// sim.VerifyIdleContract, which audits Idle answers in the conformance
+// tests, and the AllocsPerRun gates that pin the measured hot path at zero
+// allocations.
 package main
 
 import (
@@ -90,12 +88,12 @@ var exempt = map[string]bool{
 	"internal/bench": true,
 }
 
-// engineScope lists the packages the wakeprop and hotalloc analyzers run
-// over when -wake / -allocs is set: the event-driven engine (sim), the
-// component packages whose Tick/Idle surfaces it schedules (fabric, spad,
-// core), and the hot-path containers (ring). dram is reached through the
-// fabric's hbmComponent adapter, whose cross-package calls surface as
-// hotalloc warnings rather than silent blind spots.
+// engineScope lists the packages the hotalloc analyzer runs over when
+// -allocs is set: the runner (sim), the component packages whose Tick and
+// Idle it calls every cycle (fabric, spad, core), and the hot-path
+// containers (ring). dram is reached through the fabric's hbmComponent
+// adapter, whose cross-package calls surface as hotalloc warnings rather
+// than silent blind spots.
 var engineScope = map[string]bool{
 	"internal/sim":    true,
 	"internal/fabric": true,
@@ -106,8 +104,6 @@ var engineScope = map[string]bool{
 
 // vetOptions selects the optional analyzer families.
 type vetOptions struct {
-	// Wake enables the missed-wake prover (wakeprop) on the engine scope.
-	Wake bool
 	// Allocs enables the static allocation prover (hotalloc) on the engine
 	// scope.
 	Allocs bool
@@ -132,14 +128,9 @@ func analyzersFor(rel string, opt vetOptions) []*analysis.Analyzer {
 	default:
 		return nil
 	}
-	as := []*analysis.Analyzer{det, analysis.SharedState, analysis.TickPurity, analysis.Orderdep}
-	if engineScope[rel] || fixture {
-		if opt.Wake {
-			as = append(as, analysis.Wakeprop)
-		}
-		if opt.Allocs {
-			as = append(as, analysis.Hotalloc)
-		}
+	as := []*analysis.Analyzer{det, analysis.TickPurity, analysis.Orderdep}
+	if opt.Allocs && (engineScope[rel] || fixture) {
+		as = append(as, analysis.Hotalloc)
 	}
 	return as
 }
@@ -342,10 +333,7 @@ func vetGraphs(opt graphOptions) ([]analysis.Finding, error) {
 func enabledFamilies(opt vetOptions, graphsOn, packagesOn bool) []string {
 	var fams []string
 	if packagesOn {
-		fams = append(fams, "determinism", "sharedstate", "tickpurity", "orderdep")
-		if opt.Wake {
-			fams = append(fams, "wakeprop")
-		}
+		fams = append(fams, "determinism", "tickpurity", "orderdep")
 		if opt.Allocs {
 			fams = append(fams, "hotalloc")
 		}
@@ -375,18 +363,17 @@ func run() (int, error) {
 	graphs := flag.Bool("graphs", false, "also prove flow control (line rate, credits, deadlock freedom, drain, occupancy) on every registered graph blueprint")
 	schemas := flag.Bool("schemas", false, "with -graphs, require every blueprint link to be schema-typed at both ends")
 	fixture := flag.String("fixture", "", "vet only the named fixture from the blueprint fixture registry (graph analyzers only)")
-	wake := flag.Bool("wake", false, "run the missed-wake prover (wakeprop) over the engine packages")
 	allocs := flag.Bool("allocs", false, "run the static allocation prover (hotalloc) over the engine packages")
-	all := flag.Bool("all", false, "enable every analyzer family (-graphs -schemas -wake -allocs)")
+	all := flag.Bool("all", false, "enable every analyzer family (-graphs -schemas -allocs)")
 	flag.Parse()
 	if *all {
-		*graphs, *schemas, *wake, *allocs = true, true, true, true
+		*graphs, *schemas, *allocs = true, true, true
 	}
 	args := flag.Args()
 	if len(args) == 0 {
 		args = []string{"./..."}
 	}
-	opt := vetOptions{Wake: *wake, Allocs: *allocs}
+	opt := vetOptions{Allocs: *allocs}
 	gopt := graphOptions{Schemas: *schemas, Fixture: *fixture}
 	graphsOn := *graphs || *schemas || *fixture != ""
 	packagesOn := *fixture == "" // -fixture is a graph-only mode

@@ -23,25 +23,24 @@ func TestAnalyzersFor(t *testing.T) {
 		first string
 		last  string
 	}{
-		{"internal/sim", vetOptions{}, 4, "determinism", "orderdep"},
-		{"internal/fabric", vetOptions{}, 4, "determinism", "orderdep"},
-		{"internal/core", vetOptions{}, 4, "determinism", "orderdep"},
-		{"internal/blueprint", vetOptions{}, 4, "determinism", "orderdep"},
+		{"internal/sim", vetOptions{}, 3, "determinism", "orderdep"},
+		{"internal/fabric", vetOptions{}, 3, "determinism", "orderdep"},
+		{"internal/core", vetOptions{}, 3, "determinism", "orderdep"},
+		{"internal/blueprint", vetOptions{}, 3, "determinism", "orderdep"},
 		{"internal/bench", vetOptions{}, 0, "", ""},
 		{"cmd/aurochs-vet", vetOptions{}, 0, "", ""},
 		{".", vetOptions{}, 0, "", ""},
-		// The engine scope grows the optional provers; packages outside it
+		// The engine scope grows the optional prover; packages outside it
 		// (blueprint, dram) never do.
-		{"internal/sim", vetOptions{Wake: true}, 5, "determinism", "wakeprop"},
-		{"internal/ring", vetOptions{Allocs: true}, 5, "determinism", "hotalloc"},
-		{"internal/core", vetOptions{Wake: true, Allocs: true}, 6, "determinism", "hotalloc"},
-		{"internal/blueprint", vetOptions{Wake: true, Allocs: true}, 4, "determinism", "orderdep"},
-		{"internal/dram", vetOptions{Wake: true, Allocs: true}, 4, "determinism", "orderdep"},
-		// Explicitly named fixture packages run the optional provers so the
+		{"internal/sim", vetOptions{Allocs: true}, 4, "determinism", "hotalloc"},
+		{"internal/ring", vetOptions{Allocs: true}, 4, "determinism", "hotalloc"},
+		{"internal/core", vetOptions{Allocs: true}, 4, "determinism", "hotalloc"},
+		{"internal/blueprint", vetOptions{Allocs: true}, 3, "determinism", "orderdep"},
+		{"internal/dram", vetOptions{Allocs: true}, 3, "determinism", "orderdep"},
+		// Explicitly named fixture packages run the optional prover so the
 		// CI negative gates exercise the real analyzer path.
-		{"internal/analysis/testdata/src/wakebad", vetOptions{Wake: true}, 5, "determinism", "wakeprop"},
-		{"internal/analysis/testdata/src/allocbad", vetOptions{Allocs: true}, 5, "determinism", "hotalloc"},
-		{"internal/analysis/testdata/src/detbad", vetOptions{}, 4, "determinism", "orderdep"},
+		{"internal/analysis/testdata/src/allocbad", vetOptions{Allocs: true}, 4, "determinism", "hotalloc"},
+		{"internal/analysis/testdata/src/detbad", vetOptions{}, 3, "determinism", "orderdep"},
 	}
 	for _, tc := range cases {
 		as := analyzersFor(tc.rel, tc.opt)
@@ -143,8 +142,8 @@ func TestVetGraphsFixtures(t *testing.T) {
 // TestCensusLine pins the stderr census: every enabled family appears with
 // its count, zeros included.
 func TestCensusLine(t *testing.T) {
-	fams := enabledFamilies(vetOptions{Wake: true}, true, true)
-	want := []string{"determinism", "sharedstate", "tickpurity", "orderdep", "wakeprop", "graphs", "flow"}
+	fams := enabledFamilies(vetOptions{Allocs: true}, true, true)
+	want := []string{"determinism", "tickpurity", "orderdep", "hotalloc", "graphs", "flow"}
 	if len(fams) != len(want) {
 		t.Fatalf("enabledFamilies = %v, want %v", fams, want)
 	}
@@ -156,7 +155,7 @@ func TestCensusLine(t *testing.T) {
 	got := censusLine(fams, []analysis.Finding{
 		{Analyzer: "flow"}, {Analyzer: "flow"}, {Analyzer: "orderdep"},
 	})
-	const wantLine = "determinism 0, sharedstate 0, tickpurity 0, orderdep 1, wakeprop 0, graphs 0, flow 2"
+	const wantLine = "determinism 0, tickpurity 0, orderdep 1, hotalloc 0, graphs 0, flow 2"
 	if got != wantLine {
 		t.Fatalf("censusLine = %q, want %q", got, wantLine)
 	}
@@ -176,10 +175,9 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 func TestJSONGolden(t *testing.T) {
 	fixtures := []string{
 		filepath.Join("..", "..", "internal", "analysis", "testdata", "src", "orderbad"),
-		filepath.Join("..", "..", "internal", "analysis", "testdata", "src", "wakebad"),
 		filepath.Join("..", "..", "internal", "analysis", "testdata", "src", "allocbad"),
 	}
-	src, err := vetPackages(fixtures, vetOptions{Wake: true, Allocs: true})
+	src, err := vetPackages(fixtures, vetOptions{Allocs: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,15 +1,17 @@
 // Package analysis is the type-checked static-analysis engine behind
 // cmd/aurochs-vet. Its analyzers see go/types information, which is what
-// the two load-bearing contracts of the simulator kernel require:
+// the simulator's source-level contracts require:
 //
-//   - sharedstate: a component whose fields can alias mutable heap state
-//     reachable from another component must declare that state via
-//     SharedState(), or the wake scheduler never learns that a partner's
-//     tick can change its Idle answer (internal/sim/wake.go);
-//   - tickpurity: the observation methods the kernel calls outside the
+//   - tickpurity: the observation methods the runner calls outside the
 //     component's own tick — Idle, CanPush, Done, Drained, Empty — must be
 //     observably pure, because the idle-skip and the commit-time credit
-//     recomputation assume repeated calls cannot change simulation state.
+//     recomputation assume repeated calls cannot change simulation state;
+//   - orderdep: every order-dependent scratchpad RMW (spad.Spec) carries a
+//     reviewable justification, because the reordering pipelines retire
+//     threads in completion order;
+//   - hotalloc: nothing reachable from the per-cycle path — component
+//     Ticks, link and queue operations, functions marked hot:path — may
+//     allocate without a reviewed marker.
 //
 // The API deliberately mirrors golang.org/x/tools/go/analysis (Analyzer /
 // Pass / Reportf) so analyzers written here port to the upstream driver
@@ -51,7 +53,7 @@ type Finding struct {
 	Rule string `json:"rule"`
 	Msg  string `json:"msg"`
 	// Analyzer names the engine pass that produced the finding
-	// ("determinism", "sharedstate", "orderdep", "graphs"). Rule is the
+	// ("determinism", "tickpurity", "orderdep", "graphs"). Rule is the
 	// specific violation within that pass; for single-rule analyzers the
 	// two coincide.
 	Analyzer string `json:"analyzer"`
@@ -105,7 +107,7 @@ func SortFindings(fs []Finding) {
 // x/tools/go/analysis.Analyzer minus the dependency machinery (no Requires:
 // every analyzer here is self-contained).
 type Analyzer struct {
-	// Name identifies the rule in findings ("sharedstate", "tickpurity").
+	// Name identifies the rule in findings ("tickpurity", "hotalloc").
 	Name string
 	// Doc is the one-paragraph contract the rule enforces.
 	Doc string
@@ -162,7 +164,7 @@ func (p *Pass) FileOf(pos token.Pos) *ast.File {
 }
 
 // Waived reports whether pos is covered by the given waiver marker, e.g.
-// "lint:sharedstate-ok". A marker covers the lines of its comment group plus
+// "lint:hotalloc-ok". A marker covers the lines of its comment group plus
 // the line immediately below it, so it works inline ("x int // lint:...-ok"),
 // as a standalone comment above a field, and anywhere inside the doc comment
 // of the declaration it annotates.

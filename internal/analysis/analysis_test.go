@@ -41,40 +41,28 @@ func countRule(fs []Finding, rule string) int {
 	return n
 }
 
-// TestSharedBadFixture: the seeded violations are each caught — two
-// undeclared shared references and three impure observation methods.
-func TestSharedBadFixture(t *testing.T) {
-	pkg := loadFixture(t, "sharedbad")
-	fs := runAnalyzers(t, pkg, SharedState, TickPurity)
-	if got := countRule(fs, "sharedstate"); got != 2 {
-		t.Errorf("sharedstate: got %d findings, want 2\n%v", got, fs)
+// TestPurityBadFixture: the three impure observation methods are each
+// caught, and the messages name the method.
+func TestPurityBadFixture(t *testing.T) {
+	fs := runAnalyzers(t, loadFixture(t, "puritybad"), TickPurity)
+	if got := countRule(fs, "tickpurity"); got != 3 || len(fs) != 3 {
+		t.Errorf("want exactly 3 tickpurity findings, got:\n%v", fs)
 	}
-	if got := countRule(fs, "tickpurity"); got != 3 {
-		t.Errorf("tickpurity: got %d findings, want 3\n%v", got, fs)
-	}
-	// The messages must name the field and the remedy.
-	var sawTbl, sawLog, sawIdle bool
-	for _, f := range fs {
-		if f.Rule == "sharedstate" && strings.Contains(f.Msg, "field tbl") {
-			sawTbl = true
+	for _, m := range []string{"Walker.Done", "Walker.Idle", "Walker.CanPush"} {
+		found := false
+		for _, f := range fs {
+			found = found || strings.Contains(f.Msg, m)
 		}
-		if f.Rule == "sharedstate" && strings.Contains(f.Msg, "field log") {
-			sawLog = true
+		if !found {
+			t.Errorf("no finding names %s:\n%v", m, fs)
 		}
-		if f.Rule == "tickpurity" && strings.Contains(f.Msg, "Walker.Idle") {
-			sawIdle = true
-		}
-	}
-	if !sawTbl || !sawLog || !sawIdle {
-		t.Errorf("missing expected findings (tbl=%v log=%v idle=%v):\n%v", sawTbl, sawLog, sawIdle, fs)
 	}
 }
 
-// TestSharedCleanFixture: declared sharing, waivers, owned references, link
-// fields, and pure helpers produce no findings.
-func TestSharedCleanFixture(t *testing.T) {
-	pkg := loadFixture(t, "sharedclean")
-	if fs := runAnalyzers(t, pkg, SharedState, TickPurity); len(fs) != 0 {
+// TestPurityCleanFixture: link observations, field reads, pure helpers and
+// the tickpure waiver produce no findings.
+func TestPurityCleanFixture(t *testing.T) {
+	if fs := runAnalyzers(t, loadFixture(t, "purityclean"), TickPurity); len(fs) != 0 {
 		t.Errorf("clean fixture flagged:\n%v", fs)
 	}
 }
@@ -112,43 +100,6 @@ func TestOrderBadFixture(t *testing.T) {
 func TestOrderCleanFixture(t *testing.T) {
 	pkg := loadFixture(t, "orderclean")
 	if fs := runAnalyzers(t, pkg, Orderdep); len(fs) != 0 {
-		t.Errorf("clean fixture flagged:\n%v", fs)
-	}
-}
-
-// TestWakeBadFixture: every unsanctioned mutation of wake-relevant state is
-// caught — the plain setter, the termination flip, and the registered
-// closure — and each message names the field it writes.
-func TestWakeBadFixture(t *testing.T) {
-	pkg := loadFixture(t, "wakebad")
-	fs := runAnalyzers(t, pkg, Wakeprop)
-	if got := countRule(fs, "wakeprop"); got != 3 {
-		t.Fatalf("wakeprop: got %d findings, want 3\n%v", got, fs)
-	}
-	var sawInject, sawFinish, sawClosure bool
-	for _, f := range fs {
-		if strings.Contains(f.Msg, "Inject") && strings.Contains(f.Msg, "pending") {
-			sawInject = true
-		}
-		if strings.Contains(f.Msg, "Finish") && strings.Contains(f.Msg, "eos") {
-			sawFinish = true
-		}
-		if strings.Contains(f.Msg, "closure") && strings.Contains(f.Msg, "pending") {
-			sawClosure = true
-		}
-	}
-	if !sawInject || !sawFinish || !sawClosure {
-		t.Errorf("missing expected findings (inject=%v finish=%v closure=%v):\n%v",
-			sawInject, sawFinish, sawClosure, fs)
-	}
-}
-
-// TestWakeCleanFixture: every discharge rule — tick-reachable helpers,
-// builder chaining, link notification on the mutation path, the decl-level
-// waiver, and the StateSharer closure rule — passes without findings.
-func TestWakeCleanFixture(t *testing.T) {
-	pkg := loadFixture(t, "wakeclean")
-	if fs := runAnalyzers(t, pkg, Wakeprop); len(fs) != 0 {
 		t.Errorf("clean fixture flagged:\n%v", fs)
 	}
 }
@@ -223,7 +174,7 @@ func TestDetBadFixture(t *testing.T) {
 func TestDeterminismAdapter(t *testing.T) {
 	pkg := loadFixture(t, "detbad")
 	alone := runAnalyzers(t, pkg, Determinism)
-	mixed := runAnalyzers(t, pkg, SharedState, TickPurity, Orderdep, Wakeprop, Hotalloc, Determinism)
+	mixed := runAnalyzers(t, pkg, TickPurity, Orderdep, Hotalloc, Determinism)
 	var got []Finding
 	for _, f := range mixed {
 		if f.Analyzer == "determinism" {
@@ -336,9 +287,10 @@ func TestSortFindingsAcrossAnalyzers(t *testing.T) {
 	}
 }
 
-// TestRepoComponentsAreClean: the shipped simulator packages satisfy both
-// contracts — this is the in-repo half of the CI gate. Everything flagged
-// here would be a real hole in the wake scheduler's safety argument.
+// TestRepoComponentsAreClean: the shipped simulator packages satisfy the
+// tickpurity and orderdep contracts — this is the in-repo half of the CI
+// gate. An impure observation method flagged here would make idle-skip
+// runs diverge from the polling reference.
 func TestRepoComponentsAreClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks half the module; skipped in -short")
@@ -352,7 +304,7 @@ func TestRepoComponentsAreClean(t *testing.T) {
 		if pkg.TypeError != nil {
 			t.Fatalf("%s failed to type-check: %v", dir, pkg.TypeError)
 		}
-		if fs := runAnalyzers(t, pkg, SharedState, TickPurity, Orderdep); len(fs) != 0 {
+		if fs := runAnalyzers(t, pkg, TickPurity, Orderdep); len(fs) != 0 {
 			t.Errorf("internal/%s has contract findings:\n%v", dir, fs)
 		}
 	}

@@ -10,7 +10,7 @@ import (
 
 // HotallocWaiver suppresses the hotalloc rule on the allocation site (or the
 // whole function declaration) it annotates, asserting the allocation is
-// amortized (ring growth, timer-wheel bucket doubling) or off the per-cycle
+// amortized (ring growth, a preallocated list's append) or off the per-cycle
 // path (a once-per-stream spill, an abort). A declaration-level waiver — the
 // marker anywhere in the function's doc comment — accepts every site in that
 // function and stops the walk from descending into it.
@@ -19,8 +19,8 @@ const HotallocWaiver = "lint:hotalloc-ok"
 // HotPathMarker annotates a function declaration as a hot-path root in its
 // doc comment. Tick methods on component types and Push/Pop-family methods
 // on link- or queue-shaped types are roots implicitly; the marker exists for
-// the per-cycle loops the shape rules cannot see (the wake scheduler's
-// step, link commit).
+// the per-cycle loops the shape rules cannot see (the runner's step, link
+// commit).
 const HotPathMarker = "hot:path"
 
 // hotOpNames are the implicit hot-path root methods on types with a
@@ -70,11 +70,10 @@ var knownAllocFree = map[string]bool{
 	// stays a warning because whether it grows depends on the caller's
 	// accumulator capacity.
 	"internal/record.Vector.Push": true, "internal/record.Vector.Reset": true,
-	"internal/record.Vector.Valid": true, "internal/record.Vector.Len": true,
-	"internal/record.Vector.Count": true, "internal/record.Vector.PushRef": true,
-	"internal/record.Rec.Get": true, "internal/record.Rec.Len": true,
-	"internal/record.Rec.Append": true, "internal/record.Rec.Set": true,
-	"internal/record.Make": true,
+	"internal/record.Vector.Valid": true, "internal/record.Vector.Count": true,
+	"internal/record.Vector.PushRef": true, "internal/record.Rec.Get": true,
+	"internal/record.Rec.Len": true, "internal/record.Rec.Append": true,
+	"internal/record.Rec.Set": true, "internal/record.Make": true,
 	// reflect.TypeOf returns the interned rtype; the argument here is
 	// always a pointer, which boxes without allocating.
 	"reflect.TypeOf": true,
@@ -87,16 +86,15 @@ var knownAllocFree = map[string]bool{
 // where it is defined.
 var interfaceContractMethods = map[string]bool{
 	"Tick": true, "Idle": true, "Done": true, "Drained": true, "Empty": true,
-	"CanPush": true, "WakeHint": true, "Name": true, "SharedState": true,
-	"InputLinks": true, "OutputLinks": true, "WorstCaseInternalLatency": true,
-	"HostsCallbacks": true, "Stats": true,
+	"CanPush": true, "Name": true, "InputLinks": true, "OutputLinks": true,
+	"WorstCaseInternalLatency": true, "Stats": true,
 }
 
 // Hotalloc is the static half of the zero-allocation contract PR 5 enforces
 // dynamically with testing.AllocsPerRun: a memoized call-graph walk from the
 // hot-path roots — every component Tick, the sim.Link and ring.Queue
-// data-movement ops, and functions annotated "hot:path" (the wake
-// scheduler's per-cycle loop) — that flags the allocation sites Go hides in
+// data-movement ops, and functions annotated "hot:path" (the runner's
+// per-cycle loop) — that flags the allocation sites Go hides in
 // plain syntax:
 //
 //   - make/new calls and slice/map composite literals;

@@ -1,9 +1,9 @@
-// Package sharedbad is an analysis fixture: a simulator component that
-// breaks both type-checked contracts. Every violation here is counted by
-// TestSharedBadFixture; update both together.
-package sharedbad
+// Package puritybad is an analysis fixture: a simulator component whose
+// observation methods break the tickpurity contract. Every violation here
+// is counted by TestPurityBadFixture; update both together.
+package puritybad
 
-// Table is mutable heap state two components could share.
+// Table is mutable heap state a component can reach.
 type Table struct {
 	rows map[uint32][]uint32
 }
@@ -16,20 +16,19 @@ func (t *Table) Lookup(k uint32) []uint32 {
 	return t.rows[k]
 }
 
-// Walker is a component (Name/Tick/Done) with two undeclared shared
-// references and three impure observation methods.
+// Walker is a component (Name/Tick/Done) with three impure observation
+// methods.
 type Walker struct {
 	name  string
-	tbl   *Table           // sharedstate: assigned from a constructor parameter, no SharedState()
-	log   map[string]int64 // sharedstate: externally provided map
+	tbl   *Table
 	pos   int
 	done  chan struct{}
 	calls int
 }
 
-// NewWalker stores externally owned state without declaring it.
-func NewWalker(name string, tbl *Table, log map[string]int64) *Walker {
-	return &Walker{name: name, tbl: tbl, log: log, done: make(chan struct{}, 1)}
+// NewWalker builds a walker over a caller's table.
+func NewWalker(name string, tbl *Table) *Walker {
+	return &Walker{name: name, tbl: tbl, done: make(chan struct{}, 1)}
 }
 
 // Name implements the component shape.
@@ -38,7 +37,6 @@ func (w *Walker) Name() string { return w.name }
 // Tick implements the component shape; mutation is fine here.
 func (w *Walker) Tick(cycle int64) {
 	w.pos++
-	w.log["ticks"]++
 }
 
 // Done is impure: it signals on a channel.
@@ -57,7 +55,7 @@ func (w *Walker) Idle(cycle int64) bool {
 	return w.pos > 5
 }
 
-// CanPush is impure through a helper: Lookup memoizes into the shared table.
+// CanPush is impure through a helper: Lookup memoizes into the table.
 func (w *Walker) CanPush() bool {
 	return len(w.tbl.Lookup(uint32(w.pos))) == 0
 }

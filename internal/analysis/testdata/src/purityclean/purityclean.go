@@ -1,32 +1,24 @@
-// Package sharedclean is an analysis fixture: every pattern here is the
-// sanctioned form of something the analyzers would otherwise flag, so the
-// whole package must produce zero findings.
-package sharedclean
+// Package purityclean is an analysis fixture: every pattern here is the
+// sanctioned form of something the tickpurity analyzer would otherwise
+// flag, so the whole package must produce zero findings.
+package purityclean
 
 import (
 	"aurochs/internal/record"
 	"aurochs/internal/sim"
 )
 
-// Mem is mutable state legitimately shared between tiles.
-type Mem struct {
-	words []uint32
-}
-
-// Config is immutable after construction; sharing it is safe.
+// Config is read-only after construction.
 type Config struct {
 	Depth int
 	Label string
 }
 
-// Tile declares its sharing: mem flows to SharedState, the link is covered
-// by the port interfaces, cfg carries the immutability waiver, and scratch
-// is component-owned (constructed, never handed in).
+// Tile observes its link and configuration purely; scratch is mutated only
+// by Tick.
 type Tile struct {
-	name string
-	in   *sim.Link
-	mem  *Mem
-	// lint:sharedstate-ok — Config is written once before the run starts.
+	name    string
+	in      *sim.Link
 	cfg     *Config
 	scratch map[uint32]uint32
 	pos     int
@@ -34,8 +26,8 @@ type Tile struct {
 }
 
 // NewTile is the sanctioned constructor shape.
-func NewTile(name string, in *sim.Link, mem *Mem, cfg *Config) *Tile {
-	return &Tile{name: name, in: in, mem: mem, cfg: cfg, scratch: make(map[uint32]uint32)}
+func NewTile(name string, in *sim.Link, cfg *Config) *Tile {
+	return &Tile{name: name, in: in, cfg: cfg, scratch: make(map[uint32]uint32)}
 }
 
 // Name implements the component shape.
@@ -61,9 +53,6 @@ func (t *Tile) Done() bool { return t.eos }
 // InputLinks implements sim.InputPorts.
 func (t *Tile) InputLinks() []*sim.Link { return []*sim.Link{t.in} }
 
-// SharedState declares the scratchpad memory.
-func (t *Tile) SharedState() []any { return []any{t.mem} }
-
 // Idle is pure: link observations, field reads, and a pure same-package
 // helper.
 func (t *Tile) Idle(cycle int64) bool {
@@ -82,8 +71,8 @@ func quiescent(pos, depth int) bool {
 	return pos >= limit
 }
 
-// Refresh is a sanctioned impurity: the effect is invisible to results, and
-// the waiver documents it the way hbmComponent.Idle does.
+// Empty is a sanctioned impurity: the effect is invisible to results, and
+// the waiver documents it.
 //
 // lint:tickpure-ok — refreshes a cache that never reaches simulation state.
 func (t *Tile) Empty() bool {
@@ -91,9 +80,7 @@ func (t *Tile) Empty() bool {
 	return t.in.Empty()
 }
 
-// Typed holds a record schema handed in by its constructor. A Schema has no
-// mutating method, so sharing one needs neither a SharedState declaration
-// nor a waiver.
+// Typed holds a record schema handed in by its constructor.
 type Typed struct {
 	name   string
 	schema *record.Schema

@@ -15,10 +15,10 @@ const TickPureWaiver = "lint:tickpure-ok"
 // pureMethodNames are the observation methods the simulator kernel may call
 // outside the component's own tick: Idle gates the idle-skip, CanPush gates
 // producers, Done/Drained drive termination, Empty gates consumers, and
-// Stats must be a plain accessor. The event kernel calls Idle and the
+// Stats must be a plain accessor. The idle-skip runner calls Idle and the
 // polling reference does not, and the two call the others at different
 // points and different numbers of times. So every one of these must be
-// observably pure: a field write inside any of them makes the two kernels
+// observably pure: a field write inside any of them makes the two runs
 // diverge, which is a determinism hole.
 var pureMethodNames = map[string]bool{
 	"Idle": true, "CanPush": true, "Done": true,
@@ -42,7 +42,6 @@ var knownPureCalls = map[string]bool{
 	// dram.HBM observation API: pure functions of (state, cycle).
 	"internal/dram.HBM.Drained": true, "internal/dram.HBM.Idle": true,
 	"internal/dram.HBM.QuiescentAt": true,
-	"internal/dram.HBM.NextEvent":   true,
 	// ring.Queue observers (internal/ring/ring.go documents purity).
 	"internal/ring.Queue.Len": true, "internal/ring.Queue.Empty": true,
 	"internal/ring.Queue.Front": true, "internal/ring.Queue.At": true,
@@ -85,7 +84,7 @@ func runTickPurity(pass *Pass) error {
 			}
 			if reason := pc.checkBody(fd); reason != nil {
 				pass.Reportf(reason.pos,
-					"%s.%s must be observably pure (the event kernel and the polling reference call it at different points): %s; "+
+					"%s.%s must be observably pure (the idle-skip runner and the polling reference call it at different points): %s; "+
 						"if the effect is invisible to results, annotate the method %s",
 					named.Obj().Name(), fd.Name.Name, reason.what, TickPureWaiver)
 			}
@@ -105,6 +104,53 @@ func isSimActor(named *types.Named) bool {
 		}
 	}
 	return false
+}
+
+// isComponentType reports whether *T satisfies the component shape.
+func isComponentType(named *types.Named) bool {
+	ms := types.NewMethodSet(types.NewPointer(named))
+	hasName, hasTick, hasDone := false, false, false
+	for i := 0; i < ms.Len(); i++ {
+		fn, ok := ms.At(i).Obj().(*types.Func)
+		if !ok {
+			continue
+		}
+		sig := fn.Type().(*types.Signature)
+		switch fn.Name() {
+		case "Name":
+			hasName = sig.Params().Len() == 0 && sig.Results().Len() == 1 &&
+				isBasic(sig.Results().At(0).Type(), types.String)
+		case "Tick":
+			hasTick = sig.Params().Len() == 1 && sig.Results().Len() == 0 &&
+				isBasic(sig.Params().At(0).Type(), types.Int64)
+		case "Done":
+			hasDone = sig.Params().Len() == 0 && sig.Results().Len() == 1 &&
+				isBasic(sig.Results().At(0).Type(), types.Bool)
+		}
+	}
+	return hasName && hasTick && hasDone
+}
+
+func isBasic(t types.Type, kind types.BasicKind) bool {
+	b, ok := types.Unalias(t).(*types.Basic)
+	return ok && b.Kind() == kind
+}
+
+// receiverNamed resolves the named type a method's receiver belongs to.
+func receiverNamed(pass *Pass, fd *ast.FuncDecl) *types.Named {
+	if fd.Recv == nil || len(fd.Recv.List) == 0 {
+		return nil
+	}
+	tv, ok := pass.TypesInfo.Types[fd.Recv.List[0].Type]
+	if !ok {
+		return nil
+	}
+	t := types.Unalias(tv.Type)
+	if p, ok := t.(*types.Pointer); ok {
+		t = types.Unalias(p.Elem())
+	}
+	named, _ := t.(*types.Named)
+	return named
 }
 
 // impurity is one reason a function is not pure.

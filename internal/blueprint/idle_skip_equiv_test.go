@@ -20,8 +20,8 @@ type runFingerprint struct {
 	sinks  [][]record.Rec
 }
 
-// runBlueprint builds a fresh instance, checks it, and runs it on the event
-// kernel or, with polling set, on the polling reference (every component
+// runBlueprint builds a fresh instance, checks it, and runs it with idle
+// skipping or, with polling set, on the polling reference (every component
 // ticks every cycle), returning the execution fingerprint.
 func runBlueprint(t *testing.T, bp Blueprint, polling bool) runFingerprint {
 	t.Helper()
@@ -87,19 +87,19 @@ func diffFingerprints(t *testing.T, label string, ref, got runFingerprint) {
 	}
 }
 
-// TestIdleSkipEquivalence is the event-kernel conformance gate: on every
+// TestIdleSkipEquivalence is the idle-skip conformance gate: on every
 // registered blueprint, skipping idle components must be observably
 // identical to the polling reference that ticks every component every
 // cycle — same cycles, same stats, same DRAM traffic, same per-link flit
 // totals, same sink records. A failure means some component's Tick depends
-// on how long it slept: an Idle answer that hid real work, a missed wake,
-// or state advanced per tick rather than per cycle.
+// on how often it was skipped: an Idle answer that hid real work, or state
+// advanced per tick rather than per cycle.
 func TestIdleSkipEquivalence(t *testing.T) {
 	for _, bp := range All() {
 		bp := bp
 		t.Run(bp.Name, func(t *testing.T) {
 			ref := runBlueprint(t, bp, true)
-			diffFingerprints(t, "event", ref, runBlueprint(t, bp, false))
+			diffFingerprints(t, "idle-skip", ref, runBlueprint(t, bp, false))
 		})
 	}
 }

@@ -84,10 +84,6 @@ func (t *tileSorter) Idle(int64) bool {
 	return true
 }
 
-// WakeHint implements sim.WakeHinter: no self-timed events — an idle
-// sorter holds no drainable or swappable work and waits on link activity.
-func (t *tileSorter) WakeHint(int64) int64 { return sim.WakeNever }
-
 func (t *tileSorter) Tick(cycle int64) {
 	// Drain one vector.
 	if len(t.drain) > 0 && t.out.CanPush() {

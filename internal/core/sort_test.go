@@ -268,10 +268,6 @@ type bufProbe struct {
 func (p *bufProbe) Name() string { return "bufprobe" }
 func (p *bufProbe) Done() bool   { return true }
 
-// SharedState pins the probe to the sorter's shard under the parallel
-// kernel: declaring the sorter's input link unions the probe with the
-// link's consumer, so sampling its unexported buffers cannot race.
-func (p *bufProbe) SharedState() []any { return []any{p.ts.in} }
 func (p *bufProbe) Tick(int64) {
 	if len(p.ts.drainBase) == 0 {
 		return

@@ -171,8 +171,8 @@ const (
 )
 
 // HBM is the memory device plus its channel scheduler. The owning system
-// ticks it whenever QuiescentAt says a tick would do something and wakes
-// it at NextEvent otherwise; fabric nodes call SubmitAt.
+// ticks it whenever QuiescentAt says a tick would do something; fabric
+// nodes call SubmitAt.
 type HBM struct {
 	cfg   Config
 	chans []*channel
@@ -322,9 +322,9 @@ func (h *HBM) locate(addr uint32) (ch, bank, row int) {
 }
 
 // Submit enqueues a request using the clock of the most recent Tick for
-// write timestamps. Ticking components must prefer SubmitAt: with
-// event-driven scheduling the HBM may legally skip idle Ticks, leaving the
-// last-tick clock behind the caller's cycle. Submit remains for untimed
+// write timestamps. Ticking components must prefer SubmitAt: the runner
+// skips the HBM's Tick while it is quiescent, leaving the last-tick clock
+// behind the caller's cycle. Submit remains for untimed
 // setup and tests that tick the model themselves.
 func (h *HBM) Submit(req Request) bool {
 	return h.SubmitAt(h.now, req)
@@ -600,7 +600,7 @@ func (h *HBM) Idle() bool {
 // for its age-out flush to fire. Unlike Idle it is a pure function of
 // (state, cycle) — bursts still in flight and resident-but-young writes do
 // not count as work — so the stretch until the next completion or age-out
-// can be skipped entirely; NextEvent tells the scheduler when to come back.
+// can be skipped entirely.
 func (h *HBM) QuiescentAt(cycle int64) bool {
 	if h.nextCompletion() <= cycle {
 		return false
@@ -614,21 +614,6 @@ func (h *HBM) QuiescentAt(cycle int64) bool {
 		}
 	}
 	return true
-}
-
-// NextEvent returns the earliest cycle at which a quiescent model has work
-// again absent further submissions — the next burst completion or the
-// next write-buffer age-out flush — or math.MaxInt64 when neither is
-// pending. These are the HBM's only self-timed events: everything else it
-// does is a response to a submission, which keeps it non-quiescent.
-func (h *HBM) NextEvent() int64 {
-	next := h.nextCompletion()
-	for _, ch := range h.chans {
-		if len(ch.writeBuf) > 0 && ch.writeBuf[0].at+wbFlushAge+1 < next {
-			next = ch.writeBuf[0].at + wbFlushAge + 1
-		}
-	}
-	return next
 }
 
 // BytesMoved returns total bytes transferred so far.

@@ -21,13 +21,13 @@ const (
 // both phases in sequence on one memory. The merge must be accepted, and
 // afterwards the model's callbacks, counters, open rows, clock and memory
 // contents must equal the oracle's.
-func forkDiff(seed int64, eventDriven bool) error {
+func forkDiff(seed int64, sparse bool) error {
 	rng := rand.New(rand.NewSource(seed))
 	d := &refPair{rng: rng, cfg: refConfig(rng)}
 	h, ref := New(d.cfg), newRefHBM(d.cfg)
 	d.preload(h, ref)
 	d.startStreams()
-	if err := d.phase(h, ref, 0, eventDriven); err != nil {
+	if err := d.phase(h, ref, 0, sparse); err != nil {
 		return err
 	}
 	h.FlushWrites()
@@ -43,7 +43,7 @@ func forkDiff(seed int64, eventDriven bool) error {
 	d.base = forkBase
 	d.load(f, ref, d.base, forkPages*pageWords)
 	d.startStreams()
-	if err := d.phase(f, ref, 1, eventDriven); err != nil {
+	if err := d.phase(f, ref, 1, sparse); err != nil {
 		return err
 	}
 	f.FlushWrites()
@@ -78,9 +78,9 @@ func forkDiff(seed int64, eventDriven bool) error {
 // phases one after the other.
 func TestForkMergeMatchesSerial(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
-		for _, ev := range []bool{false, true} {
-			if err := forkDiff(seed, ev); err != nil {
-				t.Fatalf("seed %d eventDriven=%v: %v", seed, ev, err)
+		for _, sparse := range []bool{false, true} {
+			if err := forkDiff(seed, sparse); err != nil {
+				t.Fatalf("seed %d sparse=%v: %v", seed, sparse, err)
 			}
 		}
 	}

@@ -354,11 +354,9 @@ func (d *refPair) check(h *HBM, ref *refHBM, phase int) error {
 
 // phase runs one phase of traffic on the model and the oracle until both
 // drain. The oracle ticks every cycle. The model ticks every cycle too
-// unless eventDriven is set; then it is scheduled the way the fabric
-// kernel schedules it — a submission wakes it, an examined cycle where
-// QuiescentAt holds puts it to sleep until NextEvent — and every
-// slept-through cycle must itself be quiescent.
-func (d *refPair) phase(h *HBM, ref *refHBM, phase int, eventDriven bool) error {
+// unless sparse is set; then it is driven the way the fabric runner
+// drives it — ticked only on cycles where QuiescentAt is false.
+func (d *refPair) phase(h *HBM, ref *refHBM, phase int, sparse bool) error {
 	rng, cfg := d.rng, d.cfg
 	record := func(log *[]event, id int) func([]uint32) {
 		return func(data []uint32) {
@@ -366,7 +364,6 @@ func (d *refPair) phase(h *HBM, ref *refHBM, phase int, eventDriven bool) error 
 		}
 	}
 	active := int64(200 + rng.Intn(1500))
-	awake, wake := true, int64(0)
 	retry := []Request(nil)
 	for d.cycle = 0; ; d.cycle++ {
 		cycle := d.cycle
@@ -415,31 +412,13 @@ func (d *refPair) phase(h *HBM, ref *refHBM, phase int, eventDriven bool) error 
 			if okA != okB {
 				return fmt.Errorf("phase %d cycle %d: submit accepted=%v, oracle %v", phase, cycle, okA, okB)
 			}
-			if okA {
-				awake = true
-			} else if rng.Intn(4) != 0 {
+			if !okA && rng.Intn(4) != 0 {
 				retry = append(retry, req)
 			}
 		}
 
-		if !eventDriven {
+		if !sparse || !h.QuiescentAt(cycle) {
 			h.Tick(cycle)
-		} else {
-			if !awake && cycle >= wake {
-				awake = true // the timer fired
-			}
-			if awake {
-				if h.QuiescentAt(cycle) {
-					awake, wake = false, h.NextEvent()
-					if wake <= cycle {
-						return fmt.Errorf("phase %d cycle %d: NextEvent %d is not in the future", phase, cycle, wake)
-					}
-				} else {
-					h.Tick(cycle)
-				}
-			} else if !h.QuiescentAt(cycle) {
-				return fmt.Errorf("phase %d cycle %d: work due before NextEvent %d", phase, cycle, wake)
-			}
 		}
 		ref.Tick(cycle)
 		if h.Drained() != ref.Drained() {
@@ -450,14 +429,14 @@ func (d *refPair) phase(h *HBM, ref *refHBM, phase int, eventDriven bool) error 
 
 // refDiff drives the model and the oracle with one seeded workload of
 // four phases and returns the first divergence.
-func refDiff(seed int64, eventDriven bool) error {
+func refDiff(seed int64, sparse bool) error {
 	rng := rand.New(rand.NewSource(seed))
 	d := &refPair{rng: rng, cfg: refConfig(rng)}
 	h, ref := New(d.cfg), newRefHBM(d.cfg)
 	d.preload(h, ref)
 	d.startStreams()
 	for phase := 0; phase < 4; phase++ {
-		if err := d.phase(h, ref, phase, eventDriven); err != nil {
+		if err := d.phase(h, ref, phase, sparse); err != nil {
 			return err
 		}
 		if err := d.check(h, ref, phase); err != nil {
@@ -496,12 +475,13 @@ func refSnapshot(h *refHBM, base uint32, n int) []uint32 {
 // TestHBMMatchesReference: the FIFO-retire, ordered-write-buffer model
 // fires the same callbacks at the same cycles with the same data, and
 // keeps the same counters, as the list-scan, map-buffer oracle — both
-// when ticked every cycle and when it sleeps between its own events.
+// when ticked every cycle and when ticked only on cycles where it is not
+// quiescent.
 func TestHBMMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
-		for _, ev := range []bool{false, true} {
-			if err := refDiff(seed, ev); err != nil {
-				t.Fatalf("seed %d eventDriven=%v: %v", seed, ev, err)
+		for _, sparse := range []bool{false, true} {
+			if err := refDiff(seed, sparse); err != nil {
+				t.Fatalf("seed %d sparse=%v: %v", seed, sparse, err)
 			}
 		}
 	}
@@ -514,8 +494,8 @@ func FuzzHBMReference(f *testing.F) {
 		f.Add(s, false)
 		f.Add(s, true)
 	}
-	f.Fuzz(func(t *testing.T, seed int64, eventDriven bool) {
-		if err := refDiff(seed, eventDriven); err != nil {
+	f.Fuzz(func(t *testing.T, seed int64, sparse bool) {
+		if err := refDiff(seed, sparse); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -199,25 +199,6 @@ func (f *Filter) Idle(cycle int64) bool {
 	return true
 }
 
-// WakeHint implements sim.WakeHinter: the filter's only self-timed event
-// is the oldest pipelined vector maturing; everything else it reacts to
-// arrives over its links.
-func (f *Filter) WakeHint(int64) int64 {
-	if f.pipe.Len() > 0 {
-		return f.pipe.Front().ready
-	}
-	return sim.WakeNever
-}
-
-// SharedState implements sim.StateSharer: filters inside a loop mutate the
-// loop's in-flight count.
-func (f *Filter) SharedState() []any {
-	if f.ctl == nil {
-		return nil
-	}
-	return []any{f.ctl}
-}
-
 // WorstCaseInternalLatency implements sim.LatencyBound: records can wait
 // out the pipeline plus the compaction-buffer flush timeout.
 func (f *Filter) WorstCaseInternalLatency() int64 { return PipelineDepth + flushAge }
@@ -454,8 +435,7 @@ func (m *Merge) Done() bool {
 
 // Idle implements sim.Idler. A loop-entry merge may also fire its EOS
 // decision off the loop's in-flight count and its recirculating input's
-// drain state; both are covered by SharedState, so a partner changing
-// either wakes the merge and the event kernel asks Idle again.
+// drain state, so both feed the answer.
 func (m *Merge) Idle(int64) bool {
 	if m.acc.Len() > 0 {
 		return false
@@ -477,22 +457,6 @@ func (m *Merge) Idle(int64) bool {
 	}
 	return true
 }
-
-// SharedState implements sim.StateSharer: a loop-entry merge counts
-// entering threads into the loop control and reads the recirculating
-// link's producer-side drain state, so it must be a wake partner of the
-// loop's members and of that link's producer.
-func (m *Merge) SharedState() []any {
-	if m.ctl == nil {
-		return nil
-	}
-	return []any{m.ctl, m.pri}
-}
-
-// WakeHint implements sim.WakeHinter: a merge has no self-timed events —
-// everything it reacts to is link activity or loop-control state owned by
-// shared-state partners.
-func (m *Merge) WakeHint(int64) int64 { return sim.WakeNever }
 
 // Tick implements sim.Component.
 func (m *Merge) Tick(cycle int64) {
@@ -638,24 +602,6 @@ func (f *Fork) Idle(cycle int64) bool {
 		return false
 	}
 	return true
-}
-
-// WakeHint implements sim.WakeHinter: the fork's only self-timed event is
-// its oldest expanded child maturing out of the pipeline.
-func (f *Fork) WakeHint(int64) int64 {
-	if f.buf.Len() > 0 {
-		return f.buf.Front().ready
-	}
-	return sim.WakeNever
-}
-
-// SharedState implements sim.StateSharer: forks inside a loop mutate the
-// loop's in-flight count.
-func (f *Fork) SharedState() []any {
-	if f.ctl == nil {
-		return nil
-	}
-	return []any{f.ctl}
 }
 
 // WorstCaseInternalLatency implements sim.LatencyBound: children mature

@@ -9,7 +9,7 @@ import (
 	"aurochs/internal/sim"
 )
 
-// conformanceCase pairs a graph builder with its name for the idle/wake
+// conformanceCase pairs a graph builder with its name for the idle
 // contract sweeps below.
 type conformanceCase struct {
 	name  string
@@ -108,14 +108,8 @@ func conformanceCases() []conformanceCase {
 			g.Add(&slowSink{in: out, want: 300})
 			return g
 		}},
-		{"tree-walk-1block", func(t *testing.T) *Graph {
-			g, _ := treeWalkGraph(1)
-			return g
-		}},
-		{"tree-walk-2block", func(t *testing.T) *Graph {
-			g, _ := treeWalkGraph(2)
-			return g
-		}},
+		{"tree-walk-1block", func(t *testing.T) *Graph { return treeWalkGraph(1) }},
+		{"tree-walk-2block", func(t *testing.T) *Graph { return treeWalkGraph(2) }},
 	}
 }
 
@@ -138,21 +132,16 @@ func TestIdleConformance(t *testing.T) {
 	}
 }
 
-// TestWakeConformance: the event-scheduler counterpart — on every cycle of
-// a run on the wake kernel, each *sleeping* component's Idle answer is
-// audited. A component with work no wake event announces (missing WakeHint
-// timer, undeclared shared state) is reported by name instead of
-// manifesting as a mystery deadlock at scale.
+// TestWakeConformance: each case gives bit-identical cycles, Stats, DRAM
+// bytes and sink contents with idle skipping and on the polling reference
+// (sim.RunOptions.NoIdleSkip). A component the runner skipped while idle
+// must wake into exactly the state polling would have left it in; one whose
+// Tick depends on how long it was skipped fails here by name.
 func TestWakeConformance(t *testing.T) {
 	for _, tc := range conformanceCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			g := tc.build(t)
-			if err := g.Check(); err != nil {
-				t.Fatal(err)
-			}
-			if err := sim.VerifyWakeContract(g.Sys, 1_000_000); err != nil {
-				t.Fatal(err)
-			}
+			ref := runGraph(t, tc.name, tc.build(t), true)
+			diffResults(t, "idle-skip", ref, runGraph(t, tc.name, tc.build(t), false))
 		})
 	}
 }

@@ -21,7 +21,7 @@ import (
 type DRAMNode struct {
 	name string
 	h    *dram.HBM
-	spec spad.Spec // lint:sharedstate-ok — Spec (incl. its schemas) is immutable after construction
+	spec spad.Spec
 	in   *sim.Link
 	out  *sim.Link
 	stat *sim.Stats
@@ -97,15 +97,6 @@ func (d *DRAMNode) Idle(int64) bool {
 	}
 	return true
 }
-
-// SharedState implements sim.StateSharer: submissions and completion
-// callbacks interleave with the HBM's tick.
-func (d *DRAMNode) SharedState() []any { return []any{d.h} }
-
-// WakeHint implements sim.WakeHinter: the node has no self-timed events —
-// it reacts to link flits and to HBM completions, and the HBM is a
-// shared-state partner that wakes it on every non-idle memory tick.
-func (d *DRAMNode) WakeHint(int64) int64 { return sim.WakeNever }
 
 func (d *DRAMNode) width() int {
 	if d.spec.Width <= 0 {
@@ -227,20 +218,20 @@ func (d *DRAMNode) scratch(w int) []uint32 {
 
 // complete applies the response to the thread and queues it for output.
 // For a read it runs inside the HBM's tick (the completion callback fires
-// when the controller retires the request), and DRAMNode declares that HBM
-// via SharedState — so the kernel's partner-tick wake channel re-examines
-// this node's Idle on every HBM tick and the mutations below cannot strand
-// a sleeping node. The record is staged in d.stage so handing it to Apply
-// does not move it to the heap.
+// when the controller retires the request); the runner asks every Idle
+// on every cycle, so the next time this node is asked it sees the
+// mutations below. The
+// record is staged in d.stage so handing it to Apply does not move it to
+// the heap.
 func (d *DRAMNode) complete(r *record.Rec, resp []uint32) {
-	d.outstanding-- // lint:wakeprop-ok fires inside the HBM partner's tick; partner-tick wake re-checks Idle
+	d.outstanding--
 	d.stage = *r
 	keep := true
 	if d.spec.Apply != nil {
 		keep = d.spec.Apply(&d.stage, resp)
 	}
 	if keep {
-		*d.ready.PushRefDirty() = d.stage // lint:wakeprop-ok fires inside the HBM partner's tick; partner-tick wake re-checks Idle
+		*d.ready.PushRefDirty() = d.stage
 	} else {
 		d.dropCnt.Add(1)
 	}

@@ -9,17 +9,17 @@ import (
 	"aurochs/internal/spad"
 )
 
-// graphCase builds one graph instance and returns its sinks; the
-// equivalence harness builds it once per run and demands bit-identical
-// cycles, stats, and sink contents.
+// graphCase builds one graph instance; the equivalence harness builds it
+// once per run and demands bit-identical cycles, stats, DRAM bytes and
+// sink contents.
 type graphCase struct {
 	name  string
-	build func() (*Graph, []*Sink)
+	build func() *Graph
 }
 
 func graphCases() []graphCase {
 	return []graphCase{
-		{name: "linear-map-filter-merge", build: func() (*Graph, []*Sink) {
+		{name: "linear-map-filter-merge", build: func() *Graph {
 			g := NewGraph()
 			in, even, odd, dbl, out := g.Link("in"), g.Link("even"), g.Link("odd"), g.Link("dbl"), g.Link("out")
 			g.Add(NewSource("src", seqRecs(400), in))
@@ -30,11 +30,10 @@ func graphCases() []graphCase {
 				*r = r.Set(0, r.Get(0)*2)
 			}, even, dbl))
 			g.Add(NewMerge("join", dbl, odd, out))
-			snk := NewSink("snk", out)
-			g.Add(snk)
-			return g, []*Sink{snk}
+			g.Add(NewSink("snk", out))
+			return g
 		}},
-		{name: "countdown-loop", build: func() (*Graph, []*Sink) {
+		{name: "countdown-loop", build: func() *Graph {
 			g := NewGraph()
 			ext, body, dec, exit := g.Link("ext"), g.Link("body"), g.Link("dec"), g.Link("exit")
 			recirc := g.Link("recirc")
@@ -59,11 +58,10 @@ func graphCases() []graphCase {
 				{Link: exit, Exit: true},
 				{Link: recirc, NoEOS: true},
 			}, ctl))
-			snk := NewSink("snk", exit)
-			g.Add(snk)
-			return g, []*Sink{snk}
+			g.Add(NewSink("snk", exit))
+			return g
 		}},
-		{name: "spad-loop", build: func() (*Graph, []*Sink) {
+		{name: "spad-loop", build: func() *Graph {
 			const nil32 = 0xFFFF
 			mem := spad.NewMem(16, 256, 1)
 			for k := uint32(0); k < 8; k++ {
@@ -106,11 +104,10 @@ func graphCases() []graphCase {
 				{Link: exit, Exit: true},
 				{Link: recirc, NoEOS: true},
 			}, ctl))
-			snk := NewSink("snk", exit)
-			g.Add(snk)
-			return g, []*Sink{snk}
+			g.Add(NewSink("snk", exit))
+			return g
 		}},
-		{name: "dram-gather-scatter", build: func() (*Graph, []*Sink) {
+		{name: "dram-gather-scatter", build: func() *Graph {
 			h := dram.New(dram.DefaultConfig())
 			for i := uint32(0); i < 1000; i++ {
 				h.WriteWord(i, i*5)
@@ -136,11 +133,10 @@ func graphCases() []graphCase {
 				// Each record writes its own key-indexed slot; no collisions.
 				DisjointAddrs: true,
 			}, mid, out)
-			snk := NewSink("snk", out)
-			g.Add(snk)
-			return g, []*Sink{snk}
+			g.Add(NewSink("snk", out))
+			return g
 		}},
-		{name: "scan-append", build: func() (*Graph, []*Sink) {
+		{name: "scan-append", build: func() *Graph {
 			h := dram.New(dram.DefaultConfig())
 			// Materialize [k, v] records, then stream scan → append.
 			words := make([]uint32, 0, 1200)
@@ -153,10 +149,10 @@ func graphCases() []graphCase {
 			a := g.Link("a")
 			NewDRAMScan(g, "scan", []Extent{{Addr: 4096, Words: len(words)}}, 2, a)
 			NewDRAMAppend(g, "app", 1<<21, 2, a)
-			return g, nil
+			return g
 		}},
-		{name: "tree-walk-1block", build: func() (*Graph, []*Sink) { return treeWalkGraph(1) }},
-		{name: "tree-walk-2block", build: func() (*Graph, []*Sink) { return treeWalkGraph(2) }},
+		{name: "tree-walk-1block", build: func() *Graph { return treeWalkGraph(1) }},
+		{name: "tree-walk-2block", build: func() *Graph { return treeWalkGraph(2) }},
 	}
 }
 
@@ -174,7 +170,7 @@ const (
 // each thread's child block (and with blocks=2 its weight block), route
 // Filter, SpillQueue on the recirculating path — over a shallow-queued HBM
 // so fetches are refused and the on-chip spill segment overflows.
-func treeWalkGraph(blocks int) (*Graph, []*Sink) {
+func treeWalkGraph(blocks int) *Graph {
 	cfg := dram.DefaultConfig()
 	cfg.QueueDepth = 4
 	h := dram.New(cfg)
@@ -225,70 +221,89 @@ func treeWalkGraph(blocks int) (*Graph, []*Sink) {
 		{Link: recirc, NoEOS: true},
 	}, ctl))
 	NewSpillQueue(g, "spill", twSpillBase, 3, 16, recirc, recircQ)
-	snk := NewSink("snk", found)
-	g.Add(snk)
-	return g, []*Sink{snk}
+	g.Add(NewSink("snk", found))
+	return g
 }
 
 type graphResult struct {
 	cycles int64
 	stats  string
+	dram   int64
 	sinks  [][]record.Rec
 }
 
-// runCase builds c afresh and runs it on the event kernel, or with polling
-// set on the polling reference (every component ticks every cycle).
-func runCase(t *testing.T, c graphCase, polling bool) graphResult {
+// runGraph runs a checked graph with idle skipping or, with polling set,
+// on the polling reference (every component ticks every cycle), and
+// collects what the simulated contract pins: cycles, every Stats counter,
+// DRAM bytes and the contents of every sink.
+func runGraph(t *testing.T, name string, g *Graph, polling bool) graphResult {
 	t.Helper()
-	g, sinks := c.build()
 	if err := g.Check(); err != nil {
-		t.Fatalf("%s: %v", c.name, err)
+		t.Fatalf("%s: %v", name, err)
 	}
 	cycles, err := g.Sys.RunWith(2_000_000, sim.RunOptions{NoIdleSkip: polling})
 	if err != nil {
-		t.Fatalf("%s polling=%v: %v", c.name, polling, err)
+		t.Fatalf("%s polling=%v: %v", name, polling, err)
 	}
 	res := graphResult{cycles: cycles, stats: g.Stats().String()}
-	for _, s := range sinks {
-		res.sinks = append(res.sinks, s.Records())
+	if g.HBM != nil {
+		res.dram = g.HBM.BytesMoved()
+	}
+	for _, c := range g.Sys.Components() {
+		switch s := c.(type) {
+		case *Sink:
+			res.sinks = append(res.sinks, s.Records())
+		case *slowSink:
+			res.sinks = append(res.sinks, s.recs)
+		}
 	}
 	return res
 }
 
+// diffResults reports every way got departs from the polling reference.
+func diffResults(t *testing.T, label string, ref, got graphResult) {
+	t.Helper()
+	if got.cycles != ref.cycles {
+		t.Errorf("%s: cycles %d != polling %d", label, got.cycles, ref.cycles)
+	}
+	if got.stats != ref.stats {
+		t.Errorf("%s: stats differ\npolling:\n%s\ngot:\n%s", label, ref.stats, got.stats)
+	}
+	if got.dram != ref.dram {
+		t.Errorf("%s: DRAM bytes %d != polling %d", label, got.dram, ref.dram)
+	}
+	if len(got.sinks) != len(ref.sinks) {
+		t.Fatalf("%s: sink count differs", label)
+	}
+	for s := range ref.sinks {
+		if len(got.sinks[s]) != len(ref.sinks[s]) {
+			t.Errorf("%s sink %d: %d records != %d", label, s, len(got.sinks[s]), len(ref.sinks[s]))
+			continue
+		}
+		for j := range ref.sinks[s] {
+			if got.sinks[s][j] != ref.sinks[s][j] {
+				t.Errorf("%s sink %d record %d differs", label, s, j)
+				break
+			}
+		}
+	}
+}
+
 // TestGraphIdleSkipEquivalence: every graph shape produces bit-identical
-// cycles, stats, and outputs on the event kernel, on the polling reference,
-// and on a fresh rebuild run on the event kernel again — the simulated
-// result depends only on the graph, never on which components the host
-// skips.
+// cycles, stats, DRAM bytes and outputs with idle skipping, on the polling
+// reference, and on a fresh rebuild run with idle skipping again — the
+// simulated result depends only on the graph, never on which components
+// the host skips.
 func TestGraphIdleSkipEquivalence(t *testing.T) {
 	for _, c := range graphCases() {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			ref := runCase(t, c, true)
-			for i, got := range []graphResult{runCase(t, c, false), runCase(t, c, false)} {
-				label := [...]string{"event", "event rebuild"}[i]
-				if got.cycles != ref.cycles {
-					t.Errorf("%s: cycles %d != polling %d", label, got.cycles, ref.cycles)
-				}
-				if got.stats != ref.stats {
-					t.Errorf("%s: stats differ\npolling:\n%s\ngot:\n%s", label, ref.stats, got.stats)
-				}
-				if len(got.sinks) != len(ref.sinks) {
-					t.Fatalf("%s: sink count differs", label)
-				}
-				for s := range ref.sinks {
-					if len(got.sinks[s]) != len(ref.sinks[s]) {
-						t.Errorf("%s sink %d: %d records != %d", label, s, len(got.sinks[s]), len(ref.sinks[s]))
-						continue
-					}
-					for j := range ref.sinks[s] {
-						if got.sinks[s][j] != ref.sinks[s][j] {
-							t.Errorf("%s sink %d record %d differs", label, s, j)
-							break
-						}
-					}
-				}
+			run := func(polling bool) graphResult {
+				return runGraph(t, c.name, c.build(), polling)
 			}
+			ref := run(true)
+			diffResults(t, "idle-skip", ref, run(false))
+			diffResults(t, "idle-skip rebuild", ref, run(false))
 		})
 	}
 }

@@ -111,19 +111,6 @@ func (d *DRAMExpand) Idle(int64) bool {
 	return true
 }
 
-// SharedState implements sim.StateSharer: the HBM fires this node's
-// completion callbacks, and expansions inside a loop mutate its control.
-func (d *DRAMExpand) SharedState() []any {
-	if d.ctl != nil {
-		return []any{d.h, d.ctl}
-	}
-	return []any{d.h}
-}
-
-// WakeHint implements sim.WakeHinter: no self-timed events — progress
-// comes from link flits and HBM completions (shared-state partner).
-func (d *DRAMExpand) WakeHint(int64) int64 { return sim.WakeNever }
-
 // Tick implements sim.Component.
 func (d *DRAMExpand) Tick(cycle int64) {
 	// Emit matured children, one dense vector per cycle.

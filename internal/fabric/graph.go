@@ -124,31 +124,11 @@ func (c *hbmComponent) Done() bool { return c.h.Drained() }
 // Idle implements sim.Idler: ticking an HBM with nothing queued, no
 // in-flight burst due, and no posted write due for its age-out flush is a
 // no-op. The answer is a pure function of (state, cycle); DRAM nodes
-// submit via SubmitAt with their own cycle, so the clock a sleeping HBM
-// last saw is never read.
+// submit via SubmitAt with their own cycle, so the clock an HBM skipped
+// over last saw is never read.
 func (c *hbmComponent) Idle(cycle int64) bool {
 	return c.h.QuiescentAt(cycle)
 }
-
-// WakeHint implements sim.WakeHinter: left alone, the HBM's next event is
-// its earliest burst completion or the oldest posted write crossing the
-// age-out horizon, so it sleeps through DRAM round trips. Everything else
-// it does reacts to a submission, and submitters share identity state
-// with it (SharedState), so they wake it as partners.
-func (c *hbmComponent) WakeHint(cycle int64) int64 {
-	return c.h.NextEvent()
-}
-
-// SharedState implements sim.StateSharer: every DRAM node submitting to
-// this HBM (and receiving completion callbacks from its Tick) is a wake
-// partner of the clock.
-func (c *hbmComponent) SharedState() []any { return []any{c.h} }
-
-// HostsCallbacks implements sim.CallbackHost: this tick fires Done closures
-// owned by submitting nodes, whose side effects can reach state those nodes
-// share under other keys (e.g. a DRAMExpand adjusting its LoopCtl when an
-// expansion kills a thread). The scheduler widens the wake set accordingly.
-func (c *hbmComponent) HostsCallbacks() {}
 
 // WorstCaseInternalLatency implements sim.LatencyBound: DRAM round trips
 // are the longest link-invisible stretch in any graph.

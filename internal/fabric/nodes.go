@@ -53,9 +53,6 @@ func (s *Source) Done() bool { return s.eos }
 // Idle implements sim.Idler: nothing to do once drained or backpressured.
 func (s *Source) Idle(int64) bool { return s.eos || !s.out.CanPush() }
 
-// WakeHint implements sim.WakeHinter: a source only waits on link credit.
-func (s *Source) WakeHint(int64) int64 { return sim.WakeNever }
-
 // Tick implements sim.Component.
 func (s *Source) Tick(cycle int64) {
 	if s.eos || !s.out.CanPush() {
@@ -119,9 +116,6 @@ func (s *Sink) Done() bool { return s.eos }
 
 // Idle implements sim.Idler: nothing to do without input.
 func (s *Sink) Idle(int64) bool { return s.eos || s.in.Empty() }
-
-// WakeHint implements sim.WakeHinter: a sink only waits on link arrivals.
-func (s *Sink) WakeHint(int64) int64 { return sim.WakeNever }
 
 // Tick implements sim.Component.
 func (s *Sink) Tick(cycle int64) {
@@ -239,15 +233,6 @@ func (m *Map) Idle(cycle int64) bool {
 		return false
 	}
 	return true
-}
-
-// WakeHint implements sim.WakeHinter: the datapath's only self-timed
-// event is the head vector maturing out of the pipeline.
-func (m *Map) WakeHint(int64) int64 {
-	if m.pipe.Len() > 0 {
-		return m.pipe.Front().ready
-	}
-	return sim.WakeNever
 }
 
 // WorstCaseInternalLatency implements sim.LatencyBound: a vector can sit

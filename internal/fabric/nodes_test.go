@@ -26,7 +26,6 @@ func (s *vecSource) Name() string                    { return "vecsrc" }
 func (s *vecSource) OutputLinks() []*sim.Link        { return []*sim.Link{s.out} }
 func (s *vecSource) Done() bool                      { return s.eos }
 func (s *vecSource) Idle(int64) bool                 { return s.eos || !s.out.CanPush() }
-func (s *vecSource) WakeHint(int64) int64            { return sim.WakeNever }
 func (s *vecSource) InputSchemas() []*record.Schema  { return nil }
 func (s *vecSource) OutputSchemas() []*record.Schema { return nil }
 

@@ -70,9 +70,6 @@ func (m *OrderedMerge) Idle(int64) bool {
 	return false // can emit records or the final EOS
 }
 
-// WakeHint implements sim.WakeHinter: the merge is purely link-driven.
-func (m *OrderedMerge) WakeHint(int64) int64 { return sim.WakeNever }
-
 // Tick implements sim.Component.
 func (m *OrderedMerge) Tick(cycle int64) {
 	// Refill: pull one vector per starved input.
@@ -204,9 +201,6 @@ func (j *MergeJoin) Idle(int64) bool {
 	}
 	return true
 }
-
-// WakeHint implements sim.WakeHinter: the join is purely link-driven.
-func (j *MergeJoin) WakeHint(int64) int64 { return sim.WakeNever }
 
 // Tick implements sim.Component.
 func (j *MergeJoin) Tick(cycle int64) {

@@ -21,7 +21,6 @@ func (s *appendSink) Name() string                    { return "appendsnk" }
 func (s *appendSink) InputLinks() []*sim.Link         { return []*sim.Link{s.in} }
 func (s *appendSink) Done() bool                      { return s.eos }
 func (s *appendSink) Idle(int64) bool                 { return s.eos || s.in.Empty() }
-func (s *appendSink) WakeHint(int64) int64            { return sim.WakeNever }
 func (s *appendSink) InputSchemas() []*record.Schema  { return nil }
 func (s *appendSink) OutputSchemas() []*record.Schema { return nil }
 

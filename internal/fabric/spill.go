@@ -100,14 +100,6 @@ func (s *SpillQueue) Idle(int64) bool {
 	return true
 }
 
-// SharedState implements sim.StateSharer: spills and refills are real HBM
-// requests whose completions fire from the HBM's tick.
-func (s *SpillQueue) SharedState() []any { return []any{s.h} }
-
-// WakeHint implements sim.WakeHinter: no self-timed events — progress
-// comes from link flits and HBM completions (shared-state partner).
-func (s *SpillQueue) WakeHint(int64) int64 { return sim.WakeNever }
-
 // Tick implements sim.Component.
 func (s *SpillQueue) Tick(cycle int64) {
 	// Emit one vector from the on-chip segment.

@@ -99,14 +99,6 @@ func (s *DRAMScan) Idle(int64) bool {
 	return true
 }
 
-// SharedState implements sim.StateSharer: the HBM fires this node's
-// completion callbacks.
-func (s *DRAMScan) SharedState() []any { return []any{s.h} }
-
-// WakeHint implements sim.WakeHinter: no self-timed events — progress
-// comes from HBM completions (shared-state partner) and link credit.
-func (s *DRAMScan) WakeHint(int64) int64 { return sim.WakeNever }
-
 // Tick implements sim.Component.
 func (s *DRAMScan) Tick(cycle int64) {
 	// Issue chunk reads while the reorder window has room. Completions
@@ -236,14 +228,6 @@ func (a *DRAMAppend) Idle(int64) bool {
 	}
 	return true
 }
-
-// SharedState implements sim.StateSharer: the HBM fires this node's
-// completion callbacks.
-func (a *DRAMAppend) SharedState() []any { return []any{a.h} }
-
-// WakeHint implements sim.WakeHinter: no self-timed events — progress
-// comes from link flits and HBM completions (shared-state partner).
-func (a *DRAMAppend) WakeHint(int64) int64 { return sim.WakeNever }
 
 // Tick implements sim.Component.
 func (a *DRAMAppend) Tick(cycle int64) {

@@ -77,63 +77,6 @@ func VerifyIdleContract(sys *System, maxCycles int64) error {
 	return &BudgetError{Budget: maxCycles, Cycle: sys.cycle, Stuck: sys.stuckNames(), Links: sys.stuckLinks()}
 }
 
-// WakeViolation reports a breach of the wake-registration contract
-// observed by VerifyWakeContract: a component the event scheduler put to
-// sleep answered Idle=false on a cycle no wake event targeted it.
-type WakeViolation struct {
-	// Component is the offender's Name().
-	Component string
-	// Cycle is when the breach was observed.
-	Cycle int64
-	// What describes the breach.
-	What string
-}
-
-func (e *WakeViolation) Error() string {
-	return fmt.Sprintf("sim: wake contract violated by %q at cycle %d: %s", e.Component, e.Cycle, e.What)
-}
-
-// VerifyWakeContract is the event-scheduler extension of
-// VerifyIdleContract: it runs the system on the wake kernel, wired exactly
-// as RunWith wires it (dirty-link commit included), and on every cycle
-// cross-checks each *sleeping* component's Idle answer. A sleeping
-// component answering Idle=false has work the scheduler does not know
-// about — its WakeHint failed to register an internal timer, or its
-// state is mutated through a channel not declared via ports/SharedState —
-// and the polling kernel would have ticked it, so the kernels diverge.
-// The first breach aborts the run as a *WakeViolation; a clean run that
-// fails to drain within maxCycles returns *BudgetError (a missed wake that
-// only ever manifests as a stall is still caught).
-func VerifyWakeContract(sys *System, maxCycles int64) error {
-	sched := newScheduler(sys)
-	defer sched.detach()
-	start := sys.cycle
-	for sys.cycle-start < maxCycles {
-		if sched.allDone() {
-			return nil
-		}
-		cycle := sys.cycle
-		sched.beginCycle(cycle)
-		// Every cycle is audited, including quiescent ones (exactly where
-		// a missed wake registration hides).
-		for i, c := range sys.comps {
-			if sched.awake.get(i) {
-				continue // scheduled for examination this cycle
-			}
-			if sys.idlers[i] != nil && !sys.idlers[i].Idle(cycle) {
-				return &WakeViolation{Component: c.Name(), Cycle: cycle,
-					What: "asleep but Idle answered false: the component has work no wake event announces (missing WakeHint timer or undeclared shared state)"}
-			}
-		}
-		sched.step(cycle)
-		sys.cycle++
-	}
-	if sched.allDone() {
-		return nil
-	}
-	return &BudgetError{Budget: maxCycles, Cycle: sys.cycle, Stuck: sys.stuckNames(), Links: sys.stuckLinks()}
-}
-
 // linkTotals sums cumulative push and pop counts across every link —
 // the cheap observable the conformance harness differences around a Tick.
 func (s *System) linkTotals() (pushes, pops int64) {

@@ -72,23 +72,23 @@ type Link struct {
 	pushedNow bool
 	poppedNow bool
 
-	// Scheduler bookkeeping (see wake.go). id is the index in System.links
+	// Runner bookkeeping (see run.go). id is the index in System.links
 	// (-1 for links built outside a System); wasDrained caches the drain
 	// state as of the last commit so the runner maintains its O(1)
 	// termination counter incrementally.
 	id         int
-	wasDrained bool // cached drain state, updated only by the scheduler's commit
+	wasDrained bool // cached drain state, updated only by the runner's commit
 
-	// sched is the running scheduler (nil outside a run). Every mutation
-	// reports the link to it, so its commit visits exactly the links with
-	// pending work: a mutation that skipped touch would never be committed.
-	sched *scheduler
+	// run is the active runner (nil outside a run). Every mutation reports
+	// the link to it, so its commit visits exactly the links with pending
+	// work: a mutation that skipped touch would never be committed.
+	run *runner
 }
 
-// touch reports a mutation to the running scheduler's dirty-link tracker.
+// touch reports a mutation to the active runner's dirty-link tracker.
 func (l *Link) touch() {
-	if s := l.sched; s != nil {
-		s.markLink(l)
+	if r := l.run; r != nil {
+		r.markLink(l)
 	}
 }
 
@@ -292,13 +292,9 @@ func (l *Link) Pops() int64 { return l.pops }
 // run (a boundary advance over the dense ready array, not a copy — whole
 // spans promote in one scan), the producer's credits are recomputed from
 // the space the consumer freed, and the per-cycle activity flags are
-// collected. It returns the progress signal the deadlock detector consumes
-// (a push or pop happened) and a wake signal for the event scheduler:
-// whether anything observable about the link changed this cycle — traffic,
-// an arrival, or a credit return — meaning the endpoints (and any
-// component inspecting this link's state) must be re-examined.
-func (l *Link) commit(cycle int64) (progress, wake bool) {
-	arrivals := 0
+// collected. It returns the progress signal the deadlock detector consumes:
+// whether a push or pop happened.
+func (l *Link) commit(cycle int64) (progress bool) {
 	for l.nFly > 0 {
 		i := l.head + l.nVis
 		if i >= len(l.buf) {
@@ -311,7 +307,6 @@ func (l *Link) commit(cycle int64) (progress, wake bool) {
 		}
 		l.nVis++
 		l.nFly--
-		arrivals++
 	}
 	// Credit return: every buffer slot not occupied (and not promised to a
 	// flit still in flight) is a credit for the producer's next cycle.
@@ -319,11 +314,9 @@ func (l *Link) commit(cycle int64) (progress, wake bool) {
 	if credits < 0 {
 		credits = 0
 	}
-	gained := credits > l.credits
 	l.credits = credits
 	progress = l.pushedNow || l.poppedNow
-	wake = progress || arrivals > 0 || gained
 	l.pushedNow = false
 	l.poppedNow = false
-	return progress, wake
+	return progress
 }

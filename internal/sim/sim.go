@@ -42,19 +42,6 @@ type Idler interface {
 	Idle(cycle int64) bool
 }
 
-// StateSharer is optionally implemented by components that touch state
-// outside their links: a shared scratchpad memory, the HBM, a loop
-// controller. SharedState returns opaque keys (compared by identity);
-// components returning a common key are wake partners: a tick of one
-// wakes the others (see wake.go), because each may observe the other's
-// mutation of the shared state. A *Link key subscribes the component to
-// that link's wakes — for components that inspect link state beyond the
-// Pop/Push contract (e.g. a loop-entry merge reading Drained on its
-// recirculating input).
-type StateSharer interface {
-	SharedState() []any
-}
-
 // LatencyBound is optionally implemented by components that can hide work
 // from the links for many cycles (DRAM round trips are the canonical
 // case). WorstCaseInternalLatency returns an upper bound, in cycles, on
@@ -69,7 +56,7 @@ type LatencyBound interface {
 // InputPorts is implemented by components that can report the links they
 // pop from. Together with OutputPorts it lets the fabric's static verifier
 // (fabric.Graph.Check) reconstruct the graph topology without instrumenting
-// the simulation path, and gives the wake scheduler each link's endpoints.
+// the simulation path.
 // Every component shipped in this repository implements the interfaces;
 // custom components wired into a fabric.Graph must too, or Check will
 // report their links as unclaimed.
@@ -181,11 +168,11 @@ func formatLinks(ls []LinkState) string {
 
 // RunOptions selects the reference mode of the tick kernel.
 type RunOptions struct {
-	// NoIdleSkip turns the event kernel into the polling reference: Idle
-	// is never consulted and every component ticks every cycle. Results —
+	// NoIdleSkip turns the runner into the polling reference: Idle is
+	// never consulted and every component ticks every cycle. Results —
 	// cycles, Stats, link traffic, errors — are bit-identical either way
-	// for components honouring the Idler and WakeHinter contracts; the
-	// equivalence suites run each graph both ways to prove it.
+	// for components honouring the Idler contract; the equivalence suites
+	// run each graph both ways to prove it.
 	NoIdleSkip bool
 }
 
@@ -197,28 +184,26 @@ func (s *System) Run(maxCycles int64) (int64, error) {
 }
 
 // RunWith is Run with an explicit reference mode. There is one way to
-// advance a cycle: every awake component (see wake.go) gets one Tick, then
-// the links with pending work commit. Sleeping components are skipped, but
-// no cycle is: the clock and the no-progress counter advance one cycle at a
-// time, so results and error cycles are bit-identical to the polling
-// reference (RunOptions.NoIdleSkip).
+// advance a cycle: every component that does not answer Idle gets one Tick,
+// in registration order, then the links with pending work commit (see
+// run.go). Idle components are skipped, but no cycle is: the clock and the
+// no-progress counter advance one cycle at a time, so results and error
+// cycles are bit-identical to the polling reference (RunOptions.NoIdleSkip).
 func (s *System) RunWith(maxCycles int64, opt RunOptions) (int64, error) {
 	for _, l := range s.links {
 		l.acquireRing() // a no-op unless an earlier drained run recycled it
 	}
 	grace := s.graceWindow()
-	sched := newScheduler(s)
-	sched.noSkip = opt.NoIdleSkip
-	defer sched.detach()
+	r := newRunner(s, opt.NoIdleSkip)
+	defer r.detach()
 	idle := int64(0)
 	start := s.cycle
 	for s.cycle-start < maxCycles {
-		if sched.allDone() {
+		if r.allDone() {
 			s.recycleRings()
 			return s.cycle - start, nil
 		}
-		sched.beginCycle(s.cycle)
-		moved := sched.step(s.cycle)
+		moved := r.step(s.cycle)
 		s.cycle++
 		if moved {
 			idle = 0
@@ -229,7 +214,7 @@ func (s *System) RunWith(maxCycles int64, opt RunOptions) (int64, error) {
 			}
 		}
 	}
-	if sched.allDone() {
+	if r.allDone() {
 		s.recycleRings()
 		return s.cycle - start, nil
 	}
@@ -268,9 +253,9 @@ func (s *System) graceWindow() int64 {
 	return g
 }
 
-// allDone is the full-sweep termination check; the runner proper uses the
-// scheduler's O(1) incremental version, but the conformance harnesses (which
-// instrument every cycle anyway) keep using this one.
+// allDone is the full-sweep termination check; the runner proper uses its
+// O(1) incremental version, but the conformance harness (which instruments
+// every cycle anyway) keeps using this one.
 func (s *System) allDone() bool {
 	for _, c := range s.comps {
 		if !c.Done() {

@@ -81,7 +81,7 @@ type bankOp struct {
 type Tile struct {
 	cfg   Config
 	mem   *Mem
-	spec  Spec // lint:sharedstate-ok — Spec (incl. its schemas) is immutable after construction
+	spec  Spec
 	in    *sim.Link
 	out   *sim.Link
 	stats *sim.Stats
@@ -258,15 +258,6 @@ func (t *Tile) Idle(int64) bool {
 	}
 	return true
 }
-
-// SharedState implements sim.StateSharer: tiles mutate their backing Mem
-// at grant time, and several tiles may share one Mem.
-func (t *Tile) SharedState() []any { return []any{t.mem} }
-
-// WakeHint implements sim.WakeHinter: Idle reports non-idle whenever any
-// operation is queued, pending, or ready, so a sleeping tile holds no
-// maturing state — only a link flit can produce work.
-func (t *Tile) WakeHint(int64) int64 { return sim.WakeNever }
 
 // WorstCaseInternalLatency implements sim.LatencyBound: a full set of
 // issue queues drains through the banks in at most depth×lanes grants,

@@ -378,10 +378,6 @@ type tileBufProbe struct {
 func (p *tileBufProbe) Name() string { return "tileprobe" }
 func (p *tileBufProbe) Done() bool   { return true }
 
-// SharedState makes the probe the tile's wake partner: the tile declares
-// its Mem, so claiming the same identity key wakes the probe whenever the
-// tile ticks.
-func (p *tileBufProbe) SharedState() []any { return []any{p.tile.mem} }
 func (p *tileBufProbe) Tick(int64) {
 	if id := p.tile.ready.BackingID(); id != nil {
 		p.readyBacking[id] = true
