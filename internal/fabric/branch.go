@@ -103,12 +103,12 @@ func NewFilter(name string, route func(*record.Rec) int, in *sim.Link, outs []Ou
 		lastAppend: make([]int64, len(outs)),
 		eos:        make([]bool, len(outs)),
 	}
-	// Presize to the populations the queues reach without output
-	// backpressure, so a new graph's filter does not double them from 8:
-	// accept holds the pipe to PipelineDepth+2 vectors, and emit releases
-	// a vector as soon as an accumulator holds one, which keeps it under
-	// two vectors. Only a backpressured output grows its accumulator.
-	f.pipe.Reserve(PipelineDepth + 2)
+	// The pipe comes from the pipe free list. The accumulators are
+	// presized to the population they reach without output backpressure,
+	// so a new graph's filter does not double them from 8: emit releases a
+	// vector as soon as an accumulator holds one, which keeps it under two
+	// vectors. Only a backpressured output grows its accumulator.
+	pipes.Get(&f.pipe)
 	for i, o := range outs {
 		if o.Link != nil {
 			f.acc[i].Reserve(2 * record.NumLanes)
@@ -116,6 +116,9 @@ func NewFilter(name string, route func(*record.Rec) int, in *sim.Link, outs []Ou
 	}
 	return f
 }
+
+// Recycle implements sim.Recycler: a drained filter hands its pipe back.
+func (f *Filter) Recycle() { pipes.Put(&f.pipe) }
 
 // Cyclic marks the filter as living on a recirculating path that never
 // carries end-of-stream; it is done whenever empty.

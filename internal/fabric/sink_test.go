@@ -120,3 +120,50 @@ func TestRingsRecycledOnlyAfterDrainedRun(t *testing.T) {
 		}
 	}
 }
+
+// TestPipesRecycledOnlyAfterDrainedRun: a run that drains hands every Map
+// and Filter pipe back to the pool, and the next node built takes one of
+// them; a run cut short by its cycle budget keeps them, with the vectors
+// still in flight inside.
+func TestPipesRecycledOnlyAfterDrainedRun(t *testing.T) {
+	g := NewGraph()
+	in, mid, out := g.Link("in"), g.Link("mid"), g.Link("out")
+	g.Add(NewSource("src", seqRecs(10_000), in))
+	m := NewMap("inc", func(r *record.Rec) { r.Put(0, r.Get(0)+1) }, in, mid)
+	g.Add(m)
+	f := NewFilter("thin", func(r *record.Rec) int {
+		if r.Get(0)%3 != 0 {
+			return -1
+		}
+		return 0
+	}, mid, []Output{{Link: out}}, nil)
+	g.Add(f)
+	snk := NewCountSink("snk", out)
+	g.Add(snk)
+
+	var budget *sim.BudgetError
+	if _, err := g.Run(20); !errors.As(err, &budget) {
+		t.Fatalf("run with a 20-cycle budget: %v, want a BudgetError", err)
+	}
+	if m.pipe.BackingID() == nil || f.pipe.BackingID() == nil {
+		t.Fatal("a pipe was handed back after a BudgetError")
+	}
+	if m.pipe.Len()+f.pipe.Len() == 0 {
+		t.Fatal("no pipe held a vector in flight to inspect")
+	}
+
+	released := map[*timedVec]bool{m.pipe.BackingID(): true, f.pipe.BackingID(): true}
+	if _, err := g.Run(1_000_000); err != nil {
+		t.Fatal(err)
+	}
+	if want := 10_000 / 3; snk.Count() != want {
+		t.Fatalf("sink counted %d records, want %d", snk.Count(), want)
+	}
+	if m.pipe.BackingID() != nil || f.pipe.BackingID() != nil {
+		t.Fatal("a pipe kept its array after a drained run")
+	}
+	next := NewMap("next", func(*record.Rec) {}, in, mid)
+	if !released[next.pipe.BackingID()] {
+		t.Fatal("a new map did not take a recycled pipe")
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"sort"
 	"testing"
 )
 
@@ -63,6 +64,43 @@ func TestRunAllConcurrentMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestRunAllDispatchOrder: RunAll's dispatch order is a permutation of
+// All(), and its first two entries are the two queries with the most
+// simulated cycles on the fabric engine, so they start together.
+func TestRunAllDispatchOrder(t *testing.T) {
+	qs := All()
+	if len(dispatchOrder) != len(qs) {
+		t.Fatalf("dispatch order has %d entries, All() %d", len(dispatchOrder), len(qs))
+	}
+	seen := make([]bool, len(qs))
+	for _, i := range dispatchOrder {
+		if i < 0 || i >= len(qs) || seen[i] {
+			t.Fatalf("dispatch order %v is not a permutation of All()", dispatchOrder)
+		}
+		seen[i] = true
+	}
+	if testing.Short() {
+		t.Skip("cycle simulation in -short mode")
+	}
+	for _, seed := range []int64{1, 7} {
+		res, err := runSerial(NewAurochs(4), Generate(SmallScale(), seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		byCost := make([]int, len(res))
+		for i := range byCost {
+			byCost[i] = i
+		}
+		sort.SliceStable(byCost, func(a, b int) bool { return res[byCost[a]].Cost.Seconds > res[byCost[b]].Cost.Seconds })
+		top := map[int]bool{byCost[0]: true, byCost[1]: true}
+		if !top[dispatchOrder[0]] || !top[dispatchOrder[1]] {
+			t.Errorf("seed %d: dispatch starts with %s and %s, but the two longest queries are %s (%.3g s) and %s (%.3g s)",
+				seed, qs[dispatchOrder[0]].Name, qs[dispatchOrder[1]].Name,
+				qs[byCost[0]].Name, res[byCost[0]].Cost.Seconds, qs[byCost[1]].Name, res[byCost[1]].Cost.Seconds)
+		}
+	}
+}
+
 // failingEngine delegates to the CPU engine for results, charges a fixed
 // cost so results do not depend on host time, and fails every call of one
 // operator.
@@ -89,6 +127,9 @@ func (e *failingEngine) SpatialProbe(pts []Point, qs []CircleQ) ([]SPair, Cost, 
 }
 
 func (e *failingEngine) WindowProbe(pts []Point, qs []RectQ) ([]SPair, Cost, error) {
+	if e.failOp == "window" {
+		return nil, Cost{}, errInjected
+	}
 	out, _, err := e.inner.WindowProbe(pts, qs)
 	return out, Cost{Seconds: 1}, err
 }
@@ -113,10 +154,13 @@ func (e *failingEngine) Predict(n, flops int) (Cost, error) { return Cost{Second
 // TestRunAllErrorMatchesSerial: when an operator fails, the fanned-out
 // RunAll returns what the serial loop returns — the results of the queries
 // before the first failing one in All() order, and that query's wrapped
-// error — even though later queries may have run.
+// error — even though later queries may have run. The equijoin and
+// groupcount failures hit q1 first, which is also dispatched first; the
+// window failure hits q2 first in All() order, while q6 and q8, which
+// also fail, are dispatched before it.
 func TestRunAllErrorMatchesSerial(t *testing.T) {
 	d := Generate(SmallScale(), 3)
-	for _, op := range []string{"equijoin", "groupcount"} {
+	for _, op := range []string{"equijoin", "groupcount", "window"} {
 		e := &failingEngine{inner: NewCPU(), failOp: op}
 		want, wantErr := runSerial(e, d)
 		got, gotErr := RunAll(e, d)

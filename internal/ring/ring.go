@@ -8,7 +8,10 @@
 // behavior-preserving.
 package ring
 
-import "reflect"
+import (
+	"reflect"
+	"sync"
+)
 
 // Queue is a FIFO of T. The zero value is an empty queue ready for use.
 // It is not synchronized; each simulator component owns its queues.
@@ -193,4 +196,56 @@ func (q *Queue[T]) resize(size int) {
 	}
 	q.buf = buf
 	q.head = 0
+}
+
+// Pool is a free list of backing arrays of one size, shared by the
+// simulations running on different goroutines, hence the lock. A component
+// that builds a queue in every short-lived graph takes its array from the
+// pool and hands it back once the graph has drained, instead of leaving it
+// to the collector. It is a plain free list rather than a sync.Pool for the
+// same reason as the simulator's link-ring list: a sync.Pool drops entries
+// at every collection, so how often a run allocated would depend on the
+// collector. It holds at most the arrays released at once, which the runs
+// that released them held anyway.
+type Pool[T any] struct {
+	size int
+	mu   sync.Mutex
+	free [][]T
+}
+
+// NewPool returns a pool of arrays of size slots.
+func NewPool[T any](size int) *Pool[T] { return &Pool[T]{size: size} }
+
+// Get gives the empty queue q a backing array of the pool's size, recycled
+// when one is free. A recycled array holds the remains of dropped
+// elements, as a queue's own slots do after they wrap.
+func (p *Pool[T]) Get(q *Queue[T]) {
+	if q.n != 0 {
+		panic("ring: pool get into a non-empty queue")
+	}
+	p.mu.Lock()
+	var buf []T
+	if n := len(p.free); n > 0 {
+		buf = p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+	}
+	p.mu.Unlock()
+	if buf == nil {
+		buf = make([]T, p.size)
+	}
+	q.buf, q.head = buf, 0
+}
+
+// Put takes back the backing array of q, leaving q with none, if q is
+// empty and its array is the pool's size; otherwise it leaves q as it is.
+// A queue used after Put grows a new array.
+func (p *Pool[T]) Put(q *Queue[T]) {
+	if q.n != 0 || len(q.buf) != p.size {
+		return
+	}
+	p.mu.Lock()
+	p.free = append(p.free, q.buf)
+	p.mu.Unlock()
+	q.buf, q.head = nil, 0
 }

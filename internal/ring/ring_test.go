@@ -215,3 +215,48 @@ func TestDropClearsPointers(t *testing.T) {
 		t.Fatalf("reused slot pop=%d want 7", got)
 	}
 }
+
+// TestPoolRecyclesEmptyQueuesOfItsSize: Put takes only an empty queue's
+// array of the pool's size, and Get hands it to the next queue, which
+// then works as a fresh one.
+func TestPoolRecyclesEmptyQueuesOfItsSize(t *testing.T) {
+	p := NewPool[int](4)
+	var a Queue[int]
+	p.Get(&a)
+	id := a.BackingID()
+	a.Push(1)
+	p.Put(&a)
+	if a.BackingID() != id {
+		t.Fatal("Put took a non-empty queue's array")
+	}
+	a.Pop()
+	p.Put(&a)
+	if a.BackingID() != nil {
+		t.Fatal("Put left an empty queue its array")
+	}
+
+	var big Queue[int]
+	big.Reserve(8)
+	p.Put(&big)
+	if big.BackingID() == nil {
+		t.Fatal("Put took an array of another size")
+	}
+
+	var b Queue[int]
+	p.Get(&b)
+	if b.BackingID() != id {
+		t.Fatal("Get did not hand out the recycled array")
+	}
+	for i := 0; i < 6; i++ {
+		b.Push(i)
+	}
+	for i := 0; i < 6; i++ {
+		if got := b.Pop(); got != i {
+			t.Fatalf("pop=%d want %d", got, i)
+		}
+	}
+	a.Push(7) // a queue used after Put grows a new array
+	if a.Pop() != 7 || a.BackingID() == id {
+		t.Fatal("a queue used after Put shares the recycled array")
+	}
+}

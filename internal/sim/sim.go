@@ -53,6 +53,17 @@ type LatencyBound interface {
 	WorstCaseInternalLatency() int64
 }
 
+// Recycler is optionally implemented by components that hold storage only
+// a running graph needs. Once a run has drained — every component Done —
+// the runner calls Recycle, as it hands back the links' rings, so the
+// component can return that storage for the next graph. Runs that end in
+// a DeadlockError or BudgetError do not call it, so what they stranded
+// stays inspectable. A component run again after Recycle must work
+// without the storage it handed back.
+type Recycler interface {
+	Recycle()
+}
+
 // InputPorts is implemented by components that can report the links they
 // pop from. Together with OutputPorts it lets the fabric's static verifier
 // (fabric.Graph.Check) reconstruct the graph topology without instrumenting
@@ -200,7 +211,7 @@ func (s *System) RunWith(maxCycles int64, opt RunOptions) (int64, error) {
 	start := s.cycle
 	for s.cycle-start < maxCycles {
 		if r.allDone() {
-			s.recycleRings()
+			s.recycle()
 			return s.cycle - start, nil
 		}
 		moved := r.step(s.cycle)
@@ -215,18 +226,23 @@ func (s *System) RunWith(maxCycles int64, opt RunOptions) (int64, error) {
 		}
 	}
 	if r.allDone() {
-		s.recycleRings()
+		s.recycle()
 		return s.cycle - start, nil
 	}
 	return s.cycle - start, &BudgetError{Budget: maxCycles, Cycle: s.cycle, Stuck: s.stuckNames(), Links: s.stuckLinks()}
 }
 
-// recycleRings hands every link's ring back for reuse once a run has
-// drained them all. Runs that end in an error keep their rings, so the stuck flits
-// stay inspectable.
-func (s *System) recycleRings() {
+// recycle hands every link's ring, and every Recycler's storage, back for
+// reuse once a run has drained them all. Runs that end in an error keep
+// theirs, so the stuck flits stay inspectable.
+func (s *System) recycle() {
 	for _, l := range s.links {
 		l.releaseRing()
+	}
+	for _, c := range s.comps {
+		if r, ok := c.(Recycler); ok {
+			r.Recycle()
+		}
 	}
 }
 

@@ -119,10 +119,9 @@ type Tile struct {
 	// > 0). The allocator rotates these by the cycle and walks set bits with
 	// TrailingZeros, which visits exactly the banks/lanes the counter scan
 	// would in the same priority order — only the empty probes disappear.
-	// Maintained only while banks and Lanes both fit in 64 bits (maskable).
+	// NewTile refuses more than 64 banks or lanes, so both always fit.
 	bankBidMask uint64
 	laneMask    []uint64
-	maskable    bool
 	respFree    [][]uint32
 
 	cGrants, cConf, cReq *sim.Counter
@@ -131,9 +130,13 @@ type Tile struct {
 }
 
 // NewTile builds a scratchpad stream pipeline over mem, reading thread
-// vectors from in and writing updated thread vectors to out.
+// vectors from in and writing updated thread vectors to out. The allocator
+// matches over 64-bit bid masks, so it panics above 64 banks or lanes.
 func NewTile(cfg Config, mem *Mem, spec Spec, in, out *sim.Link, stats *sim.Stats) *Tile {
 	cfg.fill()
+	if mem.Banks() > 64 || cfg.Lanes > 64 {
+		panic(fmt.Sprintf("spad: %d banks and %d lanes; the allocator handles at most 64 of each", mem.Banks(), cfg.Lanes))
+	}
 	if spec.Addr == nil {
 		panic("spad: spec.Addr is required")
 	}
@@ -172,7 +175,6 @@ func NewTile(cfg Config, mem *Mem, spec Spec, in, out *sim.Link, stats *sim.Stat
 		bankBids:   make([]int32, mem.Banks()),
 		laneBids:   make([]int32, cfg.Lanes*mem.Banks()),
 		laneMask:   make([]uint64, mem.Banks()),
-		maskable:   mem.Banks() <= 64 && cfg.Lanes <= 64,
 		cGrants:    stats.Counter(cfg.Name + ".grants"),
 		cConf:      stats.Counter(cfg.Name + ".conflicts"),
 		cReq:       stats.Counter(cfg.Name + ".requests"),
@@ -353,7 +355,7 @@ func (t *Tile) allocate(cycle int64) {
 	// through idle cycles.
 	rr := int(cycle)
 	granted := 0
-	if t.bids > 0 && t.maskable {
+	if t.bids > 0 {
 		// Greedy maximal matching (paper fig. 2b) over the bid masks: visit
 		// banks with live bids in rotated order (b+rr)&(banks-1), and for
 		// each, the first non-issued lane with a live bid for it in rotated
@@ -394,33 +396,6 @@ func (t *Tile) allocate(cycle int64) {
 				t.grant(cycle, lane, si)
 				issued |= uint64(1) << uint(lane)
 				granted++
-				break
-			}
-		}
-	} else if t.bids > 0 {
-		// Reference scan for degenerate geometries (>64 banks or lanes).
-		issued := make([]bool, t.cfg.Lanes) // lint:hotalloc-ok cold fallback path, never taken at default geometry
-		for b := 0; b < t.banks; b++ {
-			bank := (b + rr) & (t.banks - 1)
-			if t.bankBids[bank] == 0 || t.bankBusy[bank] > cycle {
-				continue
-			}
-			for l := 0; l < t.cfg.Lanes; l++ {
-				lane := (l + rr) % t.cfg.Lanes
-				if issued[lane] || t.laneBids[lane*t.banks+bank] == 0 {
-					continue
-				}
-				q := t.queues[lane]
-				for si := range q {
-					e := &q[si]
-					if e.granted || e.bank != bank {
-						continue
-					}
-					t.grant(cycle, lane, si)
-					issued[lane] = true
-					granted++
-					break
-				}
 				break
 			}
 		}

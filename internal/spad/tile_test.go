@@ -347,9 +347,23 @@ func TestMemBankMapping(t *testing.T) {
 }
 
 func TestMemPanics(t *testing.T) {
+	// tile builds a scratchpad tile over banks banks with lanes lanes; the
+	// allocator's bid masks are 64 bits wide.
+	tile := func(banks, lanes int) func() {
+		return func() {
+			sys := sim.NewSystem()
+			cfg := DefaultConfig("t")
+			cfg.Lanes = lanes
+			spec := Spec{Op: OpRead, Addr: func(*record.Rec) uint32 { return 0 }}
+			NewTile(cfg, NewMem(banks, 64, 0), spec, sys.NewLink("in", 8, 1), sys.NewLink("out", 8, 1), sys.Stats())
+		}
+	}
+	tile(64, 64)() // the widest geometry the masks hold builds
 	for name, fn := range map[string]func(){
-		"banks-not-pow2": func() { NewMem(6, 64, 0) },
-		"zero-words":     func() { NewMem(8, 0, 0) },
+		"banks-not-pow2":     func() { NewMem(6, 64, 0) },
+		"zero-words":         func() { NewMem(8, 0, 0) },
+		"tile-over-64-banks": tile(128, 16),
+		"tile-over-64-lanes": tile(16, 65),
 	} {
 		func() {
 			defer func() {
