@@ -53,7 +53,7 @@ var knownAllocFree = map[string]bool{
 	"internal/ring.Queue.Push": true, "internal/ring.Queue.Pop": true,
 	"internal/ring.Queue.Drop": true, "internal/ring.Queue.DropN": true,
 	"internal/ring.Queue.PushRef": true, "internal/ring.Queue.PushRefDirty": true,
-	"internal/ring.Queue.Reset": true,
+	"internal/ring.Queue.Reset": true, "internal/ring.Queue.PopInto": true,
 	// sim.Link ring-buffer ops (fixed ring allocated at construction).
 	"internal/sim.Link.CanPush": true, "internal/sim.Link.Empty": true,
 	"internal/sim.Link.Peek": true, "internal/sim.Link.Pop": true,

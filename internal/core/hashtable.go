@@ -274,7 +274,7 @@ func BuildHashTable(p HashTableParams, input []record.Rec, hbm *dram.HBM) (*Hash
 // (initialized to Nil), nodes line-interleaved in another so one node's
 // words stay in one bank, and the overflow region in hbm. No pipeline is
 // wired — callers stream records in through buildPipeline (via
-// BuildHashTableInto or InsertHashTable) against the returned memories.
+// BuildHashTableInto) against the returned memories.
 // hbm carries the overflow buffer and must be the same instance every
 // pipeline graph attaches, or slot reads and writes would diverge.
 func NewHashTable(p HashTableParams, hbm *dram.HBM) (*HashTable, error) {
@@ -316,28 +316,6 @@ func BuildHashTableInto(g *fabric.Graph, pf string, p HashTableParams, input Str
 		return nil, nil, fmt.Errorf("core: %d inputs exceed MaxNodes=%d", input.N, p.MaxNodes)
 	}
 	return ht, buildPipeline(g, pf, ht, input), nil
-}
-
-// InsertHashTable streams additional records into an existing table through
-// the same build pipeline — the streaming-ingest path that lets two live
-// streams build tables from each other's records while probing (paper
-// §IV-A, "low-latency stream joins"). Safe to interleave with probes:
-// CAS-prepend keeps every bucket consistent at all times.
-func InsertHashTable(ht *HashTable, input []record.Rec) (Result, error) {
-	if uint32(len(input))+ht.Inserted > ht.Params.MaxNodes {
-		return Result{}, fmt.Errorf("core: insert would exceed MaxNodes=%d", ht.Params.MaxNodes)
-	}
-	g := fabric.NewGraph()
-	g.AttachHBM(ht.HBM)
-	snk := buildPipeline(g, "ins", ht, InRecs(input))
-	res, err := runGraph(g, budgetFor(len(input)))
-	if err != nil {
-		return res, fmt.Errorf("hash insert: %w", err)
-	}
-	if snk.Count() != len(input) {
-		return res, fmt.Errorf("hash insert: %d of %d threads completed", snk.Count(), len(input))
-	}
-	return res, nil
 }
 
 // buildPipeline wires the fig. 7a pipeline against an existing table's

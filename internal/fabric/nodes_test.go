@@ -95,8 +95,25 @@ func trace(t *testing.T, g *Graph, src sim.Component, l *sim.Link) []arrival {
 	return rec.log
 }
 
+// vectorize packs records into dense vectors, NumLanes per vector, the
+// way a compacting producer emits them.
+func vectorize(recs []record.Rec) []record.Vector {
+	out := make([]record.Vector, 0, (len(recs)+record.NumLanes-1)/record.NumLanes)
+	var cur record.Vector
+	for _, r := range recs {
+		if cur.Push(r) {
+			out = append(out, cur)
+			cur = record.Vector{}
+		}
+	}
+	if cur.Count() > 0 {
+		out = append(out, cur)
+	}
+	return out
+}
+
 // TestSourceMatchesVectorize: the streaming Source emits, cycle by cycle,
-// the same masks and valid lanes as the vectors record.Vectorize packs, with
+// the same masks and valid lanes as the vectors vectorize packs, with
 // end-of-stream on the same cycle, and the flow net's supply is the record
 // count.
 func TestSourceMatchesVectorize(t *testing.T) {
@@ -110,7 +127,7 @@ func TestSourceMatchesVectorize(t *testing.T) {
 
 		ref := NewGraph()
 		rl := ref.Link("s")
-		want := trace(t, ref, &vecSource{out: rl, vecs: record.Vectorize(recs)}, rl)
+		want := trace(t, ref, &vecSource{out: rl, vecs: vectorize(recs)}, rl)
 
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("n=%d: Source emitted\n%v\nVectorize reference\n%v", n, got, want)

@@ -1,7 +1,6 @@
 package record
 
 import (
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -201,43 +200,6 @@ func TestVectorCompact(t *testing.T) {
 	for i, r := range c.Records() {
 		if r.Get(0) != want[i] {
 			t.Errorf("lane %d = %d, want %d (order preserved)", i, r.Get(0), want[i])
-		}
-	}
-}
-
-func TestVectorizeFlattenRoundTrip(t *testing.T) {
-	if err := quick.Check(func(n uint8) bool {
-		recs := make([]Rec, int(n))
-		for i := range recs {
-			recs[i] = Make(uint32(i), rand.Uint32())
-		}
-		got := Flatten(Vectorize(recs))
-		if len(got) != len(recs) {
-			return false
-		}
-		for i := range recs {
-			if !got[i].Equal(recs[i]) {
-				return false
-			}
-		}
-		return true
-	}, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestVectorizeDensity(t *testing.T) {
-	recs := make([]Rec, 37)
-	vecs := Vectorize(recs)
-	if len(vecs) != 3 {
-		t.Fatalf("37 records -> %d vectors, want 3", len(vecs))
-	}
-	if vecs[0].Count() != 16 || vecs[1].Count() != 16 || vecs[2].Count() != 5 {
-		t.Errorf("counts: %d %d %d", vecs[0].Count(), vecs[1].Count(), vecs[2].Count())
-	}
-	for _, v := range vecs {
-		if !v.Dense() {
-			t.Error("vectorize must emit dense vectors")
 		}
 	}
 }

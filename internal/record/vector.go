@@ -69,7 +69,7 @@ func (v Vector) Compact() Vector {
 }
 
 // Reset clears the vector for reuse: the mask is zeroed, so stale lane
-// contents are unobservable through Valid/Records/Flatten. This is the
+// contents are unobservable through Valid/Records. This is the
 // in-place counterpart of assigning Vector{} without the 840-byte copy,
 // used by the zero-allocation staging paths (sim.Link.StageVec, pools).
 func (v *Vector) Reset() { v.Mask = 0 }
@@ -109,33 +109,4 @@ func (v Vector) String() string {
 	}
 	b.WriteByte('}')
 	return b.String()
-}
-
-// Vectorize packs a record slice into dense vectors, NumLanes per vector.
-func Vectorize(recs []Rec) []Vector {
-	out := make([]Vector, 0, (len(recs)+NumLanes-1)/NumLanes)
-	var cur Vector
-	for _, r := range recs {
-		if cur.Push(r) {
-			out = append(out, cur)
-			cur = Vector{}
-		}
-	}
-	if cur.Count() > 0 {
-		out = append(out, cur)
-	}
-	return out
-}
-
-// Flatten concatenates the valid records of a vector slice.
-func Flatten(vecs []Vector) []Rec {
-	n := 0
-	for _, v := range vecs {
-		n += v.Count()
-	}
-	out := make([]Rec, 0, n)
-	for _, v := range vecs {
-		out = append(out, v.Records()...)
-	}
-	return out
 }

@@ -136,6 +136,30 @@ func (q *Queue[T]) Drop() {
 	q.n--
 }
 
+// PopInto moves up to len(dst) elements from the front of the queue into
+// dst, in order, and returns how many it moved: at most two copies, one on
+// each side of the wrap. Vacated slots are zeroed when T holds pointers,
+// as Drop does.
+func (q *Queue[T]) PopInto(dst []T) int {
+	n := min(len(dst), q.n)
+	if n == 0 {
+		return 0
+	}
+	first := min(n, len(q.buf)-q.head)
+	copy(dst, q.buf[q.head:q.head+first])
+	copy(dst[first:n], q.buf[:n-first])
+	if q.mustClear() {
+		clear(q.buf[q.head : q.head+first])
+		clear(q.buf[:n-first])
+	}
+	q.head += n
+	if q.head >= len(q.buf) {
+		q.head -= len(q.buf)
+	}
+	q.n -= n
+	return n
+}
+
 // DropN removes the front n elements.
 func (q *Queue[T]) DropN(n int) {
 	for i := 0; i < n; i++ {

@@ -260,3 +260,94 @@ func TestPoolRecyclesEmptyQueuesOfItsSize(t *testing.T) {
 		t.Fatal("a queue used after Put shares the recycled array")
 	}
 }
+
+// TestPopIntoAcrossWrap: PopInto moves the front elements in FIFO order
+// whether or not they straddle the end of the backing array, and leaves
+// the rest queued.
+func TestPopIntoAcrossWrap(t *testing.T) {
+	var q Queue[int]
+	q.Reserve(8)
+	next, push := 0, 0
+	for round := 0; round < 40; round++ {
+		for i := 0; i < 5; i++ {
+			q.Push(push)
+			push++
+		}
+		var dst [3]int
+		if n := q.PopInto(dst[:]); n != 3 {
+			t.Fatalf("round %d: PopInto moved %d, want 3", round, n)
+		}
+		for _, v := range dst {
+			if v != next {
+				t.Fatalf("round %d: popped %d, want %d", round, v, next)
+			}
+			next++
+		}
+		if q.Len() != push-next {
+			t.Fatalf("round %d: Len=%d, want %d", round, q.Len(), push-next)
+		}
+		if q.Len() > 4 {
+			for q.Len() > 2 {
+				if got := q.Pop(); got != next {
+					t.Fatalf("round %d: Pop=%d, want %d", round, got, next)
+				}
+				next++
+			}
+		}
+	}
+}
+
+// TestPopIntoShortQueue: asking for more than Len moves only what is
+// queued and empties the queue; an empty queue moves nothing.
+func TestPopIntoShortQueue(t *testing.T) {
+	var q Queue[int]
+	for i := 0; i < 3; i++ {
+		q.Push(10 + i)
+	}
+	dst := make([]int, 16)
+	if n := q.PopInto(dst); n != 3 || !q.Empty() {
+		t.Fatalf("PopInto moved %d, Len=%d; want 3 and empty", n, q.Len())
+	}
+	for i := 0; i < 3; i++ {
+		if dst[i] != 10+i {
+			t.Fatalf("dst[%d]=%d, want %d", i, dst[i], 10+i)
+		}
+	}
+	if n := q.PopInto(dst); n != 0 {
+		t.Fatalf("PopInto on an empty queue moved %d", n)
+	}
+	if n := q.PopInto(nil); n != 0 {
+		t.Fatalf("PopInto into nil moved %d", n)
+	}
+}
+
+// TestPopIntoClearsPointers: like Drop, PopInto zeroes the vacated slots
+// of a pointer-bearing type on both sides of the wrap.
+func TestPopIntoClearsPointers(t *testing.T) {
+	var q Queue[*int]
+	q.Reserve(8)
+	for i := 0; i < 6; i++ {
+		q.Push(new(int))
+	}
+	q.DropN(6)
+	for i := 0; i < 5; i++ { // slots 6, 7, 0, 1, 2
+		q.Push(new(int))
+	}
+	var dst [4]*int
+	if n := q.PopInto(dst[:]); n != 4 {
+		t.Fatalf("PopInto moved %d, want 4", n)
+	}
+	for i, p := range dst {
+		if p == nil {
+			t.Fatalf("dst[%d] is nil", i)
+		}
+	}
+	for _, s := range []int{6, 7, 0, 1} {
+		if q.buf[s] != nil {
+			t.Fatalf("vacated slot %d still holds %p", s, q.buf[s])
+		}
+	}
+	if q.buf[2] == nil || q.Len() != 1 {
+		t.Fatalf("the remaining element was lost: Len=%d", q.Len())
+	}
+}

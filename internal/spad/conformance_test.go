@@ -44,7 +44,7 @@ func TestTileIdleConformance(t *testing.T) {
 			sys := sim.NewSystem()
 			in := sys.NewLink("in", 8, 1)
 			out := sys.NewLink("out", 8, 1)
-			sys.Add(&vecSource{out: in, vecs: record.Vectorize(recs)})
+			sys.Add(&vecSource{out: in, vecs: vectorize(recs)})
 			sys.Add(NewTile(cfg, mem, spec, in, out, sys.Stats()))
 			sys.Add(&vecSink{in: out})
 			if err := sim.VerifyIdleContract(sys, 1_000_000); err != nil {

@@ -163,7 +163,7 @@ func runTileQuick(mem *Mem, spec Spec, recs []record.Rec) ([]record.Rec, int64) 
 	in := sys.NewLink("in", 8, 1)
 	out := sys.NewLink("out", 8, 1)
 	tile := NewTile(DefaultConfig("q"), mem, spec, in, out, sys.Stats())
-	src := &vecSource{out: in, vecs: record.Vectorize(recs)}
+	src := &vecSource{out: in, vecs: vectorize(recs)}
 	snk := &vecSink{in: out}
 	sys.Add(src)
 	sys.Add(tile)

@@ -27,7 +27,7 @@ func runTileCfg(cfg Config, mem *Mem, spec Spec, recs []record.Rec) []record.Rec
 	in := sys.NewLink("in", 8, 1)
 	out := sys.NewLink("out", 8, 1)
 	tile := NewTile(cfg, mem, spec, in, out, sys.Stats())
-	src := &vecSource{out: in, vecs: record.Vectorize(recs)}
+	src := &vecSource{out: in, vecs: vectorize(recs)}
 	snk := &vecSink{in: out}
 	sys.Add(src)
 	sys.Add(tile)

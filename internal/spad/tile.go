@@ -59,20 +59,25 @@ func DefaultConfig(name string) Config {
 	return c
 }
 
+// qent is one issue-queue slot. Its bank lives in the lane's byte array
+// (Tile.qbank), parallel to the queue.
 type qent struct {
-	rec     record.Rec
-	addr    uint32
-	bank    int
-	seq     int64 // arrival vector sequence (in-order mode)
-	granted bool  // in-order mode: slot stays occupied until vector dequeue
+	rec  record.Rec
+	addr uint32
+	seq  int64 // arrival vector sequence (in-order mode)
 }
 
+// noBank marks an in-order slot that was granted but stays occupied until
+// its vector dequeues: it bids for no bank. Banks number at most 64.
+const noBank = 0xff
+
+// bankOp is one granted bank access awaiting its latency. It holds no
+// pointer: its response words sit in Tile.pendResp at its ring slot.
 type bankOp struct {
 	rec  record.Rec
-	resp []uint32
+	lane int32
 	done int64
 	seq  int64
-	lane int
 }
 
 // Tile is one stream pipeline of a scratchpad: issue queues, allocator,
@@ -87,12 +92,19 @@ type Tile struct {
 	stats *sim.Stats
 
 	queues   [][]qent
-	bankBusy []int64 // bank free again at this cycle
-	// pending is FIFO by completion time: every grant's done stamp is
+	qbank    [][]byte // per lane, parallel to queues: each slot's bank, or noBank
+	bankBusy []int64  // bank free again at this cycle
+	// pend is a power-of-two ring of the granted bank ops, pendN of them
+	// from pendHead, FIFO by completion time: every grant's done stamp is
 	// cycle + AccessLatency + busy - 1 with busy fixed per tile config, so
 	// later grants never complete earlier and retire can stop at the first
 	// unfinished op instead of scanning (and compacting) the whole window.
-	pending  ring.Queue[bankOp]
+	// pendResp holds respW response words per ring slot.
+	pend     []bankOp
+	pendResp []uint32
+	pendHead int
+	pendN    int
+	respW    int                    // response words per op: width, 0 for OpWrite
 	ready    ring.Queue[record.Rec] // completed threads awaiting output vectorization
 	rob      map[int64][]record.Rec
 	robFree  [][]record.Rec   // recycled ROB slot slices (in-order mode)
@@ -105,24 +117,26 @@ type Tile struct {
 
 	// Allocator acceleration state. The arbitration itself is unchanged —
 	// these only let the scan skip banks and lanes that provably hold no
-	// bidding request, so the single-cycle matching stays bit-identical
-	// while the host cost drops from banks×lanes×depth struct copies to a
-	// handful of counter probes.
-	banks    int     // t.mem.Banks(), hoisted
-	width    int     // t.spec.width(), hoisted
-	nq       int     // total occupied issue-queue slots (incl. granted)
-	bids     int     // total un-granted slots (active bidders)
-	bankBids []int32 // un-granted slots per bank
-	laneBids []int32 // un-granted slots per lane×bank, lane*banks+bank
-	// Bit-mirrors of the counters above (bit b of bankBidMask set iff
-	// bankBids[b] > 0; bit l of laneMask[bank] set iff laneBids[l*banks+bank]
-	// > 0). The allocator rotates these by the cycle and walks set bits with
-	// TrailingZeros, which visits exactly the banks/lanes the counter scan
-	// would in the same priority order — only the empty probes disappear.
-	// NewTile refuses more than 64 banks or lanes, so both always fit.
+	// bidding request, so the single-cycle matching stays bit-identical.
+	// Bit l of laneMask[bank] is set iff qbank[l] holds bank (an
+	// un-granted slot of lane l bids for it); bit b of bankBidMask iff
+	// laneMask[b] != 0. The allocator rotates both by the cycle and walks
+	// set bits with TrailingZeros, visiting the banks and lanes a full
+	// banks×lanes scan would in the same priority order, and finds a
+	// lane's oldest slot for a bank with one byte scan of qbank. NewTile
+	// refuses more than 64 banks or lanes, so the masks always fit.
+	banks       int // t.mem.Banks(), hoisted
+	width       int // t.spec.width(), hoisted
+	nq          int // total occupied issue-queue slots (incl. granted)
 	bankBidMask uint64
 	laneMask    []uint64
-	respFree    [][]uint32
+	// laneOf maps an input vector lane to its issue queue (i % Lanes);
+	// laneBits[l] is the set of input lanes feeding queue l, and fullMask
+	// the union of laneBits over the queues holding IssueDepth or more
+	// slots, so accept tests its stall with one AND.
+	laneOf   [record.NumLanes]uint8
+	laneBits []uint16
+	fullMask uint16
 
 	cGrants, cConf, cReq *sim.Counter
 	cDropped, cRespStall *sim.Counter
@@ -167,14 +181,14 @@ func NewTile(cfg Config, mem *Mem, spec Spec, in, out *sim.Link, stats *sim.Stat
 		out:        out,
 		stats:      stats,
 		queues:     make([][]qent, cfg.Lanes),
+		qbank:      make([][]byte, cfg.Lanes),
 		bankBusy:   make([]int64, mem.Banks()),
 		rob:        make(map[int64][]record.Rec),
 		robLive:    make(map[int64]uint32),
 		robCount:   make(map[int64]int),
 		banks:      mem.Banks(),
-		bankBids:   make([]int32, mem.Banks()),
-		laneBids:   make([]int32, cfg.Lanes*mem.Banks()),
 		laneMask:   make([]uint64, mem.Banks()),
+		laneBits:   make([]uint16, cfg.Lanes),
 		cGrants:    stats.Counter(cfg.Name + ".grants"),
 		cConf:      stats.Counter(cfg.Name + ".conflicts"),
 		cReq:       stats.Counter(cfg.Name + ".requests"),
@@ -184,13 +198,23 @@ func NewTile(cfg Config, mem *Mem, spec Spec, in, out *sim.Link, stats *sim.Stat
 		cOutStall:  stats.Counter(cfg.Name + ".out_stall"),
 	}
 	t.width = t.spec.width()
-	// Presize the issue queues to their bound so a new graph's tile does
-	// not grow each from empty: accept admits a vector only while its
-	// lanes' queues are below IssueDepth.
+	if t.spec.Op != OpWrite {
+		t.respW = t.width
+	}
+	for i := range t.laneOf {
+		l := i % t.cfg.Lanes
+		t.laneOf[i] = uint8(l)
+		t.laneBits[l] |= 1 << uint(i)
+	}
+	// Size the issue queues to their bound once, so accept never grows
+	// them: accept admits a vector only while its lanes' queues are below
+	// IssueDepth.
 	perLane := t.cfg.IssueDepth + (record.NumLanes+t.cfg.Lanes-1)/t.cfg.Lanes
 	slots := make([]qent, t.cfg.Lanes*perLane)
+	qbank := make([]byte, t.cfg.Lanes*perLane)
 	for l := range t.queues {
 		t.queues[l] = slots[l*perLane : l*perLane : (l+1)*perLane]
+		t.qbank[l] = qbank[l*perLane : l*perLane : (l+1)*perLane]
 	}
 	return t
 }
@@ -246,7 +270,7 @@ func (t *Tile) Done() bool { return t.eosSent }
 // queued, pending, or ready, no input is poppable, and EOS (if due) has
 // been sent.
 func (t *Tile) Idle(int64) bool {
-	if t.pending.Len() > 0 || t.ready.Len() > 0 || t.nq > 0 {
+	if t.pendN > 0 || t.ready.Len() > 0 || t.nq > 0 {
 		return false
 	}
 	if t.cfg.InOrder && t.robHead < t.seq {
@@ -278,27 +302,31 @@ func (t *Tile) Tick(cycle int64) {
 }
 
 // retire completes bank operations whose latency elapsed and applies the
-// response to the thread record. pending is FIFO by done (see field doc),
-// so the loop stops at the first unfinished op.
+// response to the thread record. pend is FIFO by done (see field doc), so
+// the loop stops at the first unfinished op.
 func (t *Tile) retire(cycle int64) {
-	for t.pending.Len() > 0 {
-		op := t.pending.Front()
+	for t.pendN > 0 {
+		slot := t.pendHead
+		op := &t.pend[slot]
 		if op.done > cycle {
 			return
 		}
+		t.pendHead = (slot + 1) & (len(t.pend) - 1)
+		t.pendN--
 		keep := true
 		if t.spec.Apply != nil {
-			keep = t.spec.Apply(&op.rec, op.resp)
-		}
-		if op.resp != nil {
-			// Apply may not retain resp (see Spec.Apply); recycle the buffer.
-			t.respFree = append(t.respFree, op.resp) // lint:hotalloc-ok freelist bounded by pipeline population
-			op.resp = nil
+			// Apply may not retain resp (see Spec.Apply): the slot's words
+			// are reused by a later grant. The capacity is clipped so an
+			// append cannot reach the next slot's words.
+			var resp []uint32
+			if w := t.respW; w > 0 {
+				resp = t.pendResp[slot*w : (slot+1)*w : (slot+1)*w]
+			}
+			keep = t.spec.Apply(&op.rec, resp)
 		}
 		if !keep {
 			t.cDropped.Add(1)
 			t.retireSeq(op.seq)
-			t.pending.Drop()
 			continue
 		}
 		if t.cfg.InOrder {
@@ -328,7 +356,6 @@ func (t *Tile) retire(cycle int64) {
 			// allocate, so the backing array stops growing at steady state.
 			*t.ready.PushRefDirty() = op.rec // lint:hotalloc-ok bounded by backpressure, ring reuses its array
 		}
-		t.pending.Drop()
 	}
 }
 
@@ -344,7 +371,7 @@ func (t *Tile) retireSeq(seq int64) {
 // request and each lane issues at most one. Granted slots are invalidated
 // immediately in Aurochs mode, freeing the slot for a new thread.
 func (t *Tile) allocate(cycle int64) {
-	if t.ready.Len()+t.pending.Len() >= 4*t.cfg.Lanes {
+	if t.ready.Len()+t.pendN >= 4*t.cfg.Lanes {
 		// Response-side backpressure: stop granting when the output
 		// compactor is saturated so the pipeline stays bounded.
 		t.cRespStall.Add(1)
@@ -355,7 +382,7 @@ func (t *Tile) allocate(cycle int64) {
 	// through idle cycles.
 	rr := int(cycle)
 	granted := 0
-	if t.bids > 0 {
+	if t.bankBidMask != 0 {
 		// Greedy maximal matching (paper fig. 2b) over the bid masks: visit
 		// banks with live bids in rotated order (b+rr)&(banks-1), and for
 		// each, the first non-issued lane with a live bid for it in rotated
@@ -384,20 +411,12 @@ func (t *Tile) allocate(cycle int64) {
 			if lane >= lmod {
 				lane -= lmod
 			}
-			// FIFO scan order gives priority to older requests, matching
+			// The first slot in queue order is the oldest, matching
 			// Capstan's age-based allocation rounds. A matching un-granted
-			// slot must exist: laneBids[lane][bank] > 0.
-			q := t.queues[lane]
-			for si := range q {
-				e := &q[si]
-				if e.granted || e.bank != bank {
-					continue
-				}
-				t.grant(cycle, lane, si)
-				issued |= uint64(1) << uint(lane)
-				granted++
-				break
-			}
+			// slot exists: the lane's bit is set in laneMask[bank].
+			t.grant(cycle, lane, indexBank(t.qbank[lane], byte(bank)))
+			issued |= uint64(1) << uint(lane)
+			granted++
 		}
 	}
 	if granted > 0 {
@@ -419,21 +438,14 @@ func (t *Tile) allocate(cycle int64) {
 // stays occupied until its whole vector dequeues.
 func (t *Tile) grant(cycle int64, lane, si int) {
 	e := &t.queues[lane][si]
-	bank := e.bank
-	t.bids--
-	if t.bankBids[bank]--; t.bankBids[bank] == 0 {
-		t.bankBidMask &^= uint64(1) << uint(bank)
-	}
-	if t.laneBids[lane*t.banks+bank]--; t.laneBids[lane*t.banks+bank] == 0 {
-		t.laneMask[bank] &^= uint64(1) << uint(lane)
-	}
-
+	qb := t.qbank[lane]
+	bank := int(qb[si])
+	slot := t.pushPending()
 	w := t.width
-	var resp []uint32
+	resp := t.pendResp[slot*t.respW : (slot+1)*t.respW]
 	switch t.spec.Op {
 	case OpRead:
-		resp = t.respBuf(w)
-		for i := 0; i < w; i++ {
+		for i := range resp {
 			resp[i] = t.mem.Read(e.addr + uint32(i))
 		}
 	case OpWrite:
@@ -445,22 +457,18 @@ func (t *Tile) grant(cycle int64, lane, si int) {
 		if cur == t.spec.Data(&e.rec, 0) {
 			t.mem.Write(e.addr, t.spec.Data(&e.rec, 1))
 		}
-		resp = t.respBuf(1)
 		resp[0] = cur
 	case OpFAA:
 		cur := t.mem.Read(e.addr)
 		t.mem.Write(e.addr, cur+t.spec.Data(&e.rec, 0))
-		resp = t.respBuf(1)
 		resp[0] = cur
 	case OpXCHG:
 		cur := t.mem.Read(e.addr)
 		t.mem.Write(e.addr, t.spec.Data(&e.rec, 0))
-		resp = t.respBuf(1)
 		resp[0] = cur
 	case OpModify:
 		cur := t.mem.Read(e.addr)
 		t.mem.Write(e.addr, t.spec.Modify(cur, &e.rec))
-		resp = t.respBuf(1)
 		resp[0] = cur
 	}
 
@@ -472,34 +480,84 @@ func (t *Tile) grant(cycle int64, lane, si int) {
 		busy = 2
 	}
 	t.bankBusy[bank] = cycle + busy
-	// Grows to the bounded in-flight population once; the ring reuses its
-	// backing array at steady state.
-	op := t.pending.PushRefDirty() // lint:hotalloc-ok bounded in-flight ops, ring reuses its array
+	op := &t.pend[slot]
 	op.rec = e.rec
-	op.resp = resp
+	op.lane = int32(lane)
 	op.done = cycle + int64(t.cfg.AccessLatency) + busy - 1
 	op.seq = e.seq
-	op.lane = lane
 
+	// Only slots after si can still bid for bank: si was the lane's oldest.
+	var rest []byte
 	if t.cfg.InOrder {
-		e.granted = true
+		qb[si] = noBank
+		rest = qb[si+1:]
 	} else {
-		t.queues[lane] = append(t.queues[lane][:si], t.queues[lane][si+1:]...)
+		q := t.queues[lane]
+		n := len(q) - 1
+		copy(q[si:], q[si+1:])
+		for j := si; j < n; j++ {
+			qb[j] = qb[j+1]
+		}
+		t.queues[lane], t.qbank[lane] = q[:n], qb[:n]
 		t.nq--
+		if n < t.cfg.IssueDepth {
+			t.fullMask &^= t.laneBits[lane]
+		}
+		rest = qb[si:n]
+	}
+	if indexBank(rest, byte(bank)) < 0 {
+		if t.laneMask[bank] &^= uint64(1) << uint(lane); t.laneMask[bank] == 0 {
+			t.bankBidMask &^= uint64(1) << uint(bank)
+		}
 	}
 }
 
-// respBuf hands out a response buffer from the retire-side freelist,
-// allocating only until the pipeline's steady-state population is covered.
-func (t *Tile) respBuf(w int) []uint32 {
-	if n := len(t.respFree); n > 0 {
-		b := t.respFree[n-1]
-		t.respFree = t.respFree[:n-1]
-		if cap(b) >= w {
-			return b[:w]
+// indexBank returns the position of the first slot in qb that bids for
+// bank, or -1. A lane holds at most IssueDepth plus one vector's share of
+// slots, so a plain loop suffices.
+func indexBank(qb []byte, bank byte) int {
+	for i, b := range qb {
+		if b == bank {
+			return i
 		}
 	}
-	return make([]uint32, w) // lint:hotalloc-ok freelist warmup, bounded by steady-state population
+	return -1
+}
+
+// pushPending claims the ring slot after the last pending op, doubling the
+// ring and its response words when full. At most 4×Lanes ops are pending
+// or ready when allocate starts granting, and one cycle adds at most one
+// per lane and per bank, so the ring stops growing at the first power of
+// two at or above 4×Lanes + min(Lanes, banks); a tile that never fills its
+// window never gets there.
+func (t *Tile) pushPending() int {
+	if t.pendN == len(t.pend) {
+		t.growPending()
+	}
+	slot := (t.pendHead + t.pendN) & (len(t.pend) - 1)
+	t.pendN++
+	return slot
+}
+
+// growPending doubles the pending ring (from 8) and its response arena,
+// unwrapping the queued ops so order is kept.
+//
+// lint:hotalloc-ok — amortized doubling up to the response-side bound
+// (see pushPending); a tile at its steady-state population never grows.
+func (t *Tile) growPending() {
+	size := 2 * len(t.pend)
+	if size == 0 {
+		size = 8
+	}
+	w := t.respW
+	pend := make([]bankOp, size)
+	resp := make([]uint32, size*w)
+	for i := 0; i < t.pendN; i++ {
+		s := (t.pendHead + i) & (len(t.pend) - 1)
+		pend[i] = t.pend[s]
+		copy(resp[i*w:(i+1)*w], t.pendResp[s*w:(s+1)*w])
+	}
+	t.pend, t.pendResp, t.pendHead = pend, resp, 0
 }
 
 // emit vectorizes completed threads and pushes at most one dense vector per
@@ -513,18 +571,11 @@ func (t *Tile) emit(cycle int64) {
 		t.emitInOrder(cycle)
 		return
 	}
-	n := t.ready.Len()
-	if n == 0 {
+	if t.ready.Len() == 0 {
 		return
 	}
-	if n > record.NumLanes {
-		n = record.NumLanes
-	}
 	v := t.out.StageVec(cycle)
-	for i := 0; i < n; i++ {
-		*v.PushRef() = *t.ready.Front()
-		t.ready.Drop()
-	}
+	v.Mask = uint16(1<<uint(t.ready.PopInto(v.Lane[:])) - 1)
 }
 
 // emitInOrder releases the oldest vector only once all of its requests have
@@ -553,19 +604,23 @@ func (t *Tile) emitInOrder(cycle int64) {
 	// Vector dequeue frees this vector's issue-queue slots — the point
 	// where Capstan reclaims space that Aurochs reclaimed at grant time.
 	for lane := range t.queues {
-		q := t.queues[lane]
+		q, qb := t.queues[lane], t.qbank[lane]
 		n := 0
 		for i := range q {
 			if q[i].seq != t.robHead {
 				if n != i {
 					q[n] = q[i]
+					qb[n] = qb[i]
 				}
 				n++
 			} else {
-				t.nq-- // dequeued slots were all granted; bid counts unaffected
+				t.nq-- // dequeued slots were all granted; bid masks unaffected
 			}
 		}
-		t.queues[lane] = q[:n]
+		t.queues[lane], t.qbank[lane] = q[:n], qb[:n]
+		if n < t.cfg.IssueDepth {
+			t.fullMask &^= t.laneBits[lane]
+		}
 	}
 	t.robHead++
 	if v.Count() > 0 {
@@ -584,43 +639,41 @@ func (t *Tile) accept(cycle int64) {
 		t.eosIn = true
 		return
 	}
-	for i := 0; i < record.NumLanes; i++ {
-		if f.Vec.Valid(i) && len(t.queues[i%t.cfg.Lanes]) >= t.cfg.IssueDepth {
-			t.cInStall.Add(1)
-			return
-		}
+	if f.Vec.Mask&t.fullMask != 0 {
+		t.cInStall.Add(1)
+		return
 	}
 	t.in.Drop()
 	seq := t.seq
 	t.seq++
 	count := 0
-	for i := 0; i < record.NumLanes; i++ {
-		if !f.Vec.Valid(i) {
-			continue
-		}
+	for m := f.Vec.Mask; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros16(m)
 		addr := t.spec.Addr(&f.Vec.Lane[i])
 		if int(addr)+t.width > t.mem.Words() {
 			panic(fmt.Sprintf("%s: address %d+%d out of range (%d words)", t.cfg.Name, addr, t.width, t.mem.Words()))
 		}
-		lane := i % t.cfg.Lanes
+		lane := int(t.laneOf[i])
 		bank := t.mem.Bank(addr)
-		q := append(t.queues[lane], qent{}) // lint:hotalloc-ok bounded by IssueDepth backpressure in the loop above
-		e := &q[len(q)-1]
+		// Every queue of a valid lane is below IssueDepth, so it has room
+		// for its share of the vector within the capacity NewTile gave it.
+		q, qb := t.queues[lane], t.qbank[lane]
+		n := len(q)
+		q, qb = q[:n+1], qb[:n+1]
+		e := &q[n]
 		e.rec = f.Vec.Lane[i]
 		e.addr = addr
-		e.bank = bank
 		e.seq = seq
-		t.queues[lane] = q
-		t.nq++
-		t.bids++
-		if t.bankBids[bank]++; t.bankBids[bank] == 1 {
-			t.bankBidMask |= uint64(1) << uint(bank)
+		qb[n] = byte(bank)
+		t.queues[lane], t.qbank[lane] = q, qb
+		if n+1 >= t.cfg.IssueDepth {
+			t.fullMask |= t.laneBits[lane]
 		}
-		if t.laneBids[lane*t.banks+bank]++; t.laneBids[lane*t.banks+bank] == 1 {
-			t.laneMask[bank] |= uint64(1) << uint(lane)
-		}
+		t.laneMask[bank] |= uint64(1) << uint(lane)
+		t.bankBidMask |= uint64(1) << uint(bank)
 		count++
 	}
+	t.nq += count
 	if t.cfg.InOrder {
 		t.robCount[seq] = count // lint:hotalloc-ok bounded reorder window, buckets reused after delete
 	}
@@ -632,7 +685,7 @@ func (t *Tile) finishEOS(cycle int64) {
 	if t.eosSent || !t.eosIn {
 		return
 	}
-	if t.nq > 0 || t.pending.Len() > 0 || t.ready.Len() > 0 {
+	if t.nq > 0 || t.pendN > 0 || t.ready.Len() > 0 {
 		return
 	}
 	if t.cfg.InOrder && t.robHead < t.seq {

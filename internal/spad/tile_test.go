@@ -16,7 +16,7 @@ func runTile(t *testing.T, cfg Config, mem *Mem, spec Spec, recs []record.Rec) (
 	in := sys.NewLink("in", 8, 1)
 	out := sys.NewLink("out", 8, 1)
 	tile := NewTile(cfg, mem, spec, in, out, sys.Stats())
-	src := &vecSource{out: in, vecs: record.Vectorize(recs)}
+	src := &vecSource{out: in, vecs: vectorize(recs)}
 	snk := &vecSink{in: out}
 	sys.Add(src)
 	sys.Add(tile)
@@ -26,6 +26,23 @@ func runTile(t *testing.T, cfg Config, mem *Mem, spec Spec, recs []record.Rec) (
 		t.Fatalf("run: %v\n%s", err, sys.Stats())
 	}
 	return snk.recs, cycles
+}
+
+// vectorize packs records into dense vectors, NumLanes per vector, the
+// way a compacting producer emits them.
+func vectorize(recs []record.Rec) []record.Vector {
+	out := make([]record.Vector, 0, (len(recs)+record.NumLanes-1)/record.NumLanes)
+	var cur record.Vector
+	for _, r := range recs {
+		if cur.Push(r) {
+			out = append(out, cur)
+			cur = record.Vector{}
+		}
+	}
+	if cur.Count() > 0 {
+		out = append(out, cur)
+	}
+	return out
 }
 
 type vecSource struct {
@@ -415,7 +432,7 @@ func runTileProbed(t *testing.T, cfg Config, spec Spec, recs []record.Rec) *tile
 	out := sys.NewLink("out", 8, 1)
 	tile := NewTile(cfg, NewMem(16, 64, 0), spec, in, out, sys.Stats())
 	probe := &tileBufProbe{tile: tile, readyBacking: map[*record.Rec]bool{}, robBacking: map[*record.Rec]bool{}}
-	sys.Add(&vecSource{out: in, vecs: record.Vectorize(recs)})
+	sys.Add(&vecSource{out: in, vecs: vectorize(recs)})
 	sys.Add(tile)
 	sys.Add(&vecSink{in: out})
 	sys.Add(probe)
@@ -475,5 +492,61 @@ func TestTileROBSlotsRecycle(t *testing.T) {
 	if got := len(probe.robBacking); got > 16 {
 		t.Errorf("ROB slots lived in %d distinct backing arrays across %d sequences; freelist recycling requires a bounded set",
 			got, probe.robSeqs)
+	}
+}
+
+// TestTilePendingRingBounded: the pending ring doubles only up to the
+// response-side bound (4×Lanes ops pending or ready, plus one cycle's
+// grants), and its response arena keeps one width of words per slot.
+func TestTilePendingRingBounded(t *testing.T) {
+	spec := Spec{
+		Op:    OpRead,
+		Width: 2,
+		Addr:  func(r *record.Rec) uint32 { return r.Get(0) },
+		Apply: func(r *record.Rec, resp []uint32) bool { return true },
+	}
+	for _, lanes := range []int{4, 16} {
+		tile := runTileProbed(t, Config{Name: "pendprobe", Lanes: lanes}, spec, conflictyRecs(4096)).tile
+		bound := 4*lanes + min(lanes, tile.banks)
+		if n := len(tile.pend); n == 0 || n >= 2*bound {
+			t.Errorf("lanes=%d: pending ring of %d slots; want the power of two at or above %d at most", lanes, n, bound)
+		}
+		if len(tile.pendResp) != 2*len(tile.pend) {
+			t.Errorf("lanes=%d: %d response words for %d slots of width 2", lanes, len(tile.pendResp), len(tile.pend))
+		}
+	}
+}
+
+// TestApplyAppendCannotClobberPendingResponses: the response words of all
+// pending ops share one arena, so an Apply that appends to its resp must
+// get a fresh array rather than overwrite the next op's words.
+func TestApplyAppendCannotClobberPendingResponses(t *testing.T) {
+	mem := NewMem(16, 64, 0)
+	for i := 0; i < mem.Words(); i++ {
+		mem.Write(uint32(i), uint32(i*5))
+	}
+	spec := Spec{
+		Op:    OpRead,
+		Width: 2,
+		Addr:  func(r *record.Rec) uint32 { return r.Get(0) },
+		Apply: func(r *record.Rec, resp []uint32) bool {
+			resp = append(resp, 0xdead, 0xbeef)
+			*r = r.Append(resp[0]).Append(resp[1])
+			return true
+		},
+	}
+	var recs []record.Rec
+	for i := 0; i < 512; i++ {
+		recs = append(recs, record.Make(uint32(i*7%(mem.Words()-1))))
+	}
+	got, _ := runTile(t, DefaultConfig("app"), mem, spec, recs)
+	if len(got) != len(recs) {
+		t.Fatalf("got %d records, want %d", len(got), len(recs))
+	}
+	for _, r := range got {
+		a := r.Get(0)
+		if r.Get(1) != a*5 || r.Get(2) != (a+1)*5 {
+			t.Fatalf("addr %d read %d,%d, want %d,%d", a, r.Get(1), r.Get(2), a*5, (a+1)*5)
+		}
 	}
 }
