@@ -92,6 +92,35 @@ func TestBlueprintBuildsAreIndependent(t *testing.T) {
 	}
 }
 
+// TestAllBlueprintsPlace: every registered topology's netlist, taken from
+// the wired graph, has one tile per ported component and one edge per
+// link, places on the 20×20 Gorgon grid and passes Validate. The -v output
+// reports each topology's mean placed link latency.
+func TestAllBlueprintsPlace(t *testing.T) {
+	for _, bp := range All() {
+		g, err := bp.Build()
+		if err != nil {
+			t.Fatalf("%s: %v", bp.Name, err)
+		}
+		nl := g.Netlist()
+		if len(nl.Edges) != len(g.Sys.Links()) {
+			t.Errorf("%s: %d edges for %d links", bp.Name, len(nl.Edges), len(g.Sys.Links()))
+		}
+		p, err := fabric.Place(nl, fabric.GorgonGrid)
+		if err != nil {
+			t.Fatalf("%s: %v", bp.Name, err)
+		}
+		if err := p.Validate(nl); err != nil {
+			t.Fatalf("%s: %v", bp.Name, err)
+		}
+		_, mean, err := p.WireStats(nl)
+		if err != nil {
+			t.Fatalf("%s: %v", bp.Name, err)
+		}
+		t.Logf("%s: %d tiles, %d edges, mean placed latency %.1f", bp.Name, len(nl.Nodes), len(nl.Edges), 1+mean)
+	}
+}
+
 // TestBlueprintStagePlans: every registered topology condenses into a
 // deterministic stage order — the SCC condensation Graph.Check and the
 // token-flow prover walk. Each component lands in exactly one stage, every

@@ -31,22 +31,21 @@ const (
 )
 
 // Aggregation node layout: [key, count, next].
-// AggResult is a built aggregation table.
+// AggResult is a built aggregation table. Its buckets are the low hash
+// bits (see HashAggregate), so HashTable.LookupAll, which looks in the
+// high-bit bucket, cannot search it; read it through Groups.
 type AggResult struct {
-	Table *HashTable
+	table *HashTable
 }
 
 // NodesLinked counts nodes reachable from the bucket heads. Losing
 // CAS threads stamp slots they never link (append-only structures reclaim
-// nothing), so this is the real group-node count, below Table.Inserted.
+// nothing), so this is the real group-node count, below table.Inserted.
 func (a *AggResult) NodesLinked() int {
 	n := 0
-	for b := uint32(0); b < a.Table.Params.Buckets; b++ {
-		ptr := a.Table.Heads.Read(b)
-		for ptr != Nil {
+	for b := uint32(0); b < a.table.Params.Buckets; b++ {
+		for range a.table.chain(a.table.Heads.Read(b)) {
 			n++
-			_, _, next := a.Table.readNode(ptr)
-			ptr = next
 		}
 	}
 	return n
@@ -55,12 +54,9 @@ func (a *AggResult) NodesLinked() int {
 // Groups walks every bucket chain and returns the per-key counts.
 func (a *AggResult) Groups() map[uint32]int64 {
 	out := make(map[uint32]int64)
-	for b := uint32(0); b < a.Table.Params.Buckets; b++ {
-		ptr := a.Table.Heads.Read(b)
-		for ptr != Nil {
-			k, cnt, next := a.Table.readNode(ptr)
-			out[k] += int64(cnt)
-			ptr = next
+	for b := uint32(0); b < a.table.Params.Buckets; b++ {
+		for ptr := range a.table.chain(a.table.Heads.Read(b)) {
+			out[a.table.nodeWord(ptr, 0)] += int64(a.table.nodeWord(ptr, 1))
 		}
 	}
 	return out
@@ -68,21 +64,25 @@ func (a *AggResult) Groups() map[uint32]int64 {
 
 // HashAggregate runs the lock-free counting aggregation over keys on the
 // fabric and returns the group table plus timing. hbm may be nil.
+//
+// Buckets are the low bits of Hash32(key), not the high bits the build
+// and probe use (HashTableParams.bucket): no radix partitioner runs
+// upstream of aggregation, so the low bits are as uniform as the high
+// ones, and aggregate-skew's pinned cycles depend on this bucket choice.
 func HashAggregate(p HashTableParams, keys []uint32, hbm *dram.HBM) (*AggResult, Result, error) {
-	if p.Buckets == 0 || p.Buckets&(p.Buckets-1) != 0 {
-		return nil, Result{}, fmt.Errorf("core: buckets must be a power of two, got %d", p.Buckets)
-	}
 	if hbm == nil {
 		hbm = defaultHBM()
 	}
+	p.KeyWords = 1 // the [key, count, next] layout
+	// Each thread stamps at most one slot, so len(keys) bounds the nodes.
+	p.MaxNodes = uint32(len(keys))
+	ht, err := NewHashTable(p, hbm)
+	if err != nil {
+		return nil, Result{}, err
+	}
+	bucket := func(r *record.Rec) uint32 { return Hash32(r.Get(agKey)) & (p.Buckets - 1) }
 	g := fabric.NewGraph()
 	g.AttachHBM(hbm)
-
-	heads := spad.NewMem(16, int(p.Buckets+15)/16, 0)
-	heads.Fill(Nil)
-	// Each thread stamps at most one slot, so len(keys) bounds the nodes.
-	nodes := newNodeMem(p.SpadNodes, uint32(len(keys)), nodeWords)
-	ht := &HashTable{Params: p, Heads: heads, Nodes: nodes, HBM: hbm}
 
 	// Threads are full-width from the source, so one schema covers the
 	// whole pipeline (field order matches the ag* constants).
@@ -99,9 +99,9 @@ func HashAggregate(p HashTableParams, keys []uint32, hbm *dram.HBM) (*AggResult,
 		r.F[agSlot] = Nil
 	}, src).Typed(aggS))
 	g.Add(fabric.NewMap("agg.hash", func(r *record.Rec) {
-		r.Put(agPtr, Hash32(r.Get(agKey))&(p.Buckets-1))
+		r.Put(agPtr, bucket(r))
 	}, src, headIn).Typed(aggS, aggS))
-	g.Add(spad.NewTile(p.Tuning.spadConfig("agg.head"), heads, spad.Spec{
+	g.Add(spad.NewTile(p.Tuning.spadConfig("agg.head"), ht.Heads, spad.Spec{
 		Op:    spad.OpRead,
 		Width: 1,
 		Addr:  func(r *record.Rec) uint32 { return r.Get(agPtr) },
@@ -135,7 +135,7 @@ func HashAggregate(p HashTableParams, keys []uint32, hbm *dram.HBM) (*AggResult,
 
 	// Fetch and compare.
 	fetched := g.Link("agg.fetched")
-	g.Add(spad.NewTile(p.Tuning.spadConfig("agg.nodeR"), nodes, spad.Spec{
+	g.Add(spad.NewTile(p.Tuning.spadConfig("agg.nodeR"), ht.Nodes, spad.Spec{
 		Op:    spad.OpRead,
 		Width: nodeWords,
 		Addr:  func(r *record.Rec) uint32 { return r.Get(agPtr) * nodeWords },
@@ -165,7 +165,7 @@ func HashAggregate(p HashTableParams, keys []uint32, hbm *dram.HBM) (*AggResult,
 
 	// Count bump: FAA on the node's count word, then exit.
 	done := g.Link("agg.done")
-	g.Add(spad.NewTile(p.Tuning.spadConfig("agg.count"), nodes, spad.Spec{
+	g.Add(spad.NewTile(p.Tuning.spadConfig("agg.count"), ht.Nodes, spad.Spec{
 		Op:   spad.OpFAA,
 		Addr: func(r *record.Rec) uint32 { return r.Get(agPtr)*nodeWords + 1 },
 		Data: func(*record.Rec, int) uint32 { return 1 },
@@ -186,19 +186,18 @@ func HashAggregate(p HashTableParams, keys []uint32, hbm *dram.HBM) (*AggResult,
 	// Insert path: stamp a slot once, write [key, 0, next=headSeen], CAS
 	// the head; on failure re-walk from the observed head (the winner may
 	// hold our key).
-	slotCtr := uint32(0)
 	stamped := g.Link("agg.stamped")
 	g.Add(fabric.NewMap("agg.stamp", func(r *record.Rec) {
 		if r.Get(agSlot) == Nil {
-			if slotCtr >= p.SpadNodes {
+			if ht.Inserted >= p.SpadNodes {
 				panic("core: aggregation table exceeds on-chip nodes (size groups, not rows)")
 			}
-			r.Put(agSlot, slotCtr)
-			slotCtr++
+			r.Put(agSlot, ht.Inserted)
+			ht.Inserted++
 		}
 	}, insertIn, stamped).Cyclic().Typed(aggS, aggS))
 	wrote := g.Link("agg.wrote")
-	g.Add(spad.NewTile(p.Tuning.spadConfig("agg.nodeW"), nodes, spad.Spec{
+	g.Add(spad.NewTile(p.Tuning.spadConfig("agg.nodeW"), ht.Nodes, spad.Spec{
 		Op:    spad.OpWrite,
 		Width: nodeWords,
 		Addr:  func(r *record.Rec) uint32 { return r.Get(agSlot) * nodeWords },
@@ -219,9 +218,9 @@ func HashAggregate(p HashTableParams, keys []uint32, hbm *dram.HBM) (*AggResult,
 		DisjointAddrs: true,
 	}, stamped, wrote, g.Stats()))
 	casOut := g.Link("agg.casOut")
-	g.Add(spad.NewTile(p.Tuning.spadConfig("agg.cas"), heads, spad.Spec{
+	g.Add(spad.NewTile(p.Tuning.spadConfig("agg.cas"), ht.Heads, spad.Spec{
 		Op:   spad.OpCAS,
-		Addr: func(r *record.Rec) uint32 { return Hash32(r.Get(agKey)) & (p.Buckets - 1) },
+		Addr: bucket,
 		Data: func(r *record.Rec, i int) uint32 {
 			if i == 0 {
 				return r.Get(agHeadSeen)
@@ -274,6 +273,5 @@ func HashAggregate(p HashTableParams, keys []uint32, hbm *dram.HBM) (*AggResult,
 	if snk.Count() != len(keys) {
 		return nil, res, fmt.Errorf("hash aggregate: %d of %d threads completed", snk.Count(), len(keys))
 	}
-	ht.Inserted = slotCtr
-	return &AggResult{Table: ht}, res, nil
+	return &AggResult{table: ht}, res, nil
 }

@@ -64,3 +64,34 @@ func TestKernelGraphsPassCheck(t *testing.T) {
 		}
 	})
 }
+
+// TestProbeKernelPlacementMatchesDefault: the default LinkLatency used by
+// every kernel must match the placed reality of the probe kernel within a
+// hop — the justification for not threading a placement through each graph.
+// The netlist is the real fig. 6a probe graph's, so it cannot drift from
+// the wiring.
+func TestProbeKernelPlacementMatchesDefault(t *testing.T) {
+	g := fabric.NewGraph()
+	g.AttachHBM(dram.New(dram.DefaultConfig()))
+	ht, err := NewHashTable(DefaultHashTableParams(64), g.HBM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ProbeHashTableInto(g, "prb", ht, InRecs(kv(64, 100, 8)), ProbeOptions{})
+	nl := g.Netlist()
+	if len(nl.Nodes) != 13 || len(nl.Edges) != 14 {
+		t.Fatalf("probe netlist has %d tiles and %d edges, want 13 and 14", len(nl.Nodes), len(nl.Edges))
+	}
+	p, err := fabric.Place(nl, fabric.GorgonGrid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, mean, err := p.WireStats(nl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meanLatency := 1 + mean
+	if meanLatency < float64(fabric.LinkLatency)-1 || meanLatency > float64(fabric.LinkLatency)+2 {
+		t.Errorf("probe kernel mean placed latency %.1f; kernels assume %d", meanLatency, fabric.LinkLatency)
+	}
+}

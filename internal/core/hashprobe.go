@@ -121,45 +121,20 @@ func ProbeHashTableInto(g *fabric.Graph, pf string, ht *HashTable, probes Stream
 	g.Add(fabric.NewLoopMerge(pf+".entry", recirc, ext, body, ctl).Typed(fullS, fullS, fullS))
 
 	// Fetch the node from SRAM or the DRAM overflow buffer.
-	toSpad := g.Link(pf + ".toSpad")
-	toDram := g.Link(pf + ".toDram")
-	fromSpad := g.Link(pf + ".fromSpad")
-	fromDram := g.Link(pf + ".fromDram")
-	g.Add(fabric.NewFilter(pf+".addrSplit", func(r *record.Rec) int {
-		if r.Get(f.ptr) < p.SpadNodes {
-			return 0
-		}
-		return 1
-	}, body, []fabric.Output{{Link: toSpad}, {Link: toDram}}, nil).Typed(fullS))
-	applyNode := func(r *record.Rec, resp []uint32) bool {
-		for i := 0; i < kw; i++ {
-			r.Put(f.nkey+i, resp[i])
-		}
-		r.Put(f.nval, resp[kw])
-		r.Put(f.nnext, resp[kw+1])
-		return true
-	}
-	g.Add(spad.NewTile(p.Tuning.spadConfig(pf+".nodeR"), ht.Nodes, spad.Spec{
+	fetched := ht.wireNodeAccess(g, pf, spad.Spec{
 		Op:    spad.OpRead,
 		Width: int(nw),
-		Addr:  func(r *record.Rec) uint32 { return r.Get(f.ptr) * nw },
-		Apply: applyNode,
-		In:    fullS,
-		Out:   fullS,
-	}, toSpad, fromSpad, g.Stats()))
-	fabric.NewDRAMNode(g, pf+".nodeRD", spad.Spec{
-		Op:    spad.OpRead,
-		Width: int(nw),
-		Addr: func(r *record.Rec) uint32 {
-			return p.OverflowBase + (r.Get(f.ptr)-p.SpadNodes)*nw
+		Apply: func(r *record.Rec, resp []uint32) bool {
+			for i := 0; i < kw; i++ {
+				r.Put(f.nkey+i, resp[i])
+			}
+			r.Put(f.nval, resp[kw])
+			r.Put(f.nnext, resp[kw+1])
+			return true
 		},
-		Apply: applyNode,
-		In:    fullS,
-		Out:   fullS,
-	}, toDram, fromDram)
-
-	fetched := g.Link(pf + ".fetched")
-	g.Add(fabric.NewMerge(pf+".fetchJoin", fromSpad, fromDram, fetched).Typed(fullS, fullS, fullS))
+		In:  fullS,
+		Out: fullS,
+	}, f.ptr, 0, body, nodeAccessNames{"addrSplit", "toSpad", "toDram", "fromSpad", "fromDram", "nodeR", "fetchJoin", "fetched"})
 
 	// Compare and continue: a matching node emits a match thread; a
 	// non-nil next continues the walk. A fork expresses "both".

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"iter"
 	"math/bits"
 
 	"aurochs/internal/dram"
@@ -15,9 +16,9 @@ import (
 // node (three for 32-bit keys). Nodes
 // live in an on-chip scratchpad up to SpadNodes and transparently overflow
 // into a pre-allocated DRAM buffer beyond it (paper fig. 7a): a node's slot
-// number is its identity in a single unified address space, and every
-// reader/writer converts slot → SRAM or DRAM address with a base-offset
-// calculation as threads move through the pipeline.
+// number is its identity in a single unified address space. nodeAddr maps
+// a slot to its SRAM or DRAM address, and wireNodeAccess wires the timed
+// split → scratchpad-or-DRAM → merge access that threads take through it.
 const nodeWords = 3 // the KeyWords = 1 layout; see (*HashTableParams).nodeWords
 
 // HashTableParams sizes an on-chip hash table with DRAM overflow.
@@ -117,27 +118,37 @@ func (h *HashTable) bucketOf(key uint32) uint32 {
 	return h.Params.bucket(Hash32(key))
 }
 
-// nodeAddr converts a slot to (isSpad, wordAddr).
-func (h *HashTable) nodeAddr(slot uint32) (bool, uint32) {
-	nw := h.Params.nodeWords()
-	if slot < h.Params.SpadNodes {
+// nodeAddr maps a node slot to the address of the node's first word: a
+// scratchpad word address below SpadNodes, a DRAM word address in the
+// overflow buffer from there on. It is the one slot → address map; every
+// node reader and writer, timed or functional, goes through it.
+func (p *HashTableParams) nodeAddr(slot uint32) (onChip bool, addr uint32) {
+	nw := p.nodeWords()
+	if slot < p.SpadNodes {
 		return true, slot * nw
 	}
-	return false, h.Params.OverflowBase + (slot-h.Params.SpadNodes)*nw
+	return false, p.OverflowBase + (slot-p.SpadNodes)*nw
 }
 
 // nodeWord reads word i of a node from SRAM or DRAM.
 func (h *HashTable) nodeWord(slot, i uint32) uint32 {
-	if onChip, a := h.nodeAddr(slot); onChip {
+	if onChip, a := h.Params.nodeAddr(slot); onChip {
 		return h.Nodes.Read(a + i)
 	} else {
 		return h.HBM.ReadWord(a + i)
 	}
 }
 
-// readNode fetches a 32-bit-key node functionally.
-func (h *HashTable) readNode(slot uint32) (key, val, next uint32) {
-	return h.nodeWord(slot, 0), h.nodeWord(slot, 1), h.nodeWord(slot, 2)
+// chain yields the slots of the chain starting at head, in link order.
+func (h *HashTable) chain(head uint32) iter.Seq[uint32] {
+	next := h.Params.nodeWords() - 1
+	return func(yield func(uint32) bool) {
+		for ptr := head; ptr != Nil; ptr = h.nodeWord(ptr, next) {
+			if !yield(ptr) {
+				return
+			}
+		}
+	}
 }
 
 // LookupAll walks a bucket chain functionally and returns every value
@@ -147,13 +158,10 @@ func (h *HashTable) LookupAll(key uint32) []uint32 {
 		panic("core: LookupAll is for 32-bit keys; use LookupAll64")
 	}
 	var out []uint32
-	ptr := h.Heads.Read(h.bucketOf(key))
-	for ptr != Nil {
-		k, v, next := h.readNode(ptr)
-		if k == key {
-			out = append(out, v)
+	for ptr := range h.chain(h.Heads.Read(h.bucketOf(key))) {
+		if h.nodeWord(ptr, 0) == key {
+			out = append(out, h.nodeWord(ptr, 1))
 		}
-		ptr = next
 	}
 	return out
 }
@@ -164,14 +172,46 @@ func (h *HashTable) LookupAll64(key uint64) []uint32 {
 		panic("core: LookupAll64 requires KeyWords = 2")
 	}
 	var out []uint32
-	ptr := h.Heads.Read(h.Params.bucket(Hash64(key)))
-	for ptr != Nil {
-		k := uint64(h.nodeWord(ptr, 0)) | uint64(h.nodeWord(ptr, 1))<<32
-		if k == key {
+	for ptr := range h.chain(h.Heads.Read(h.Params.bucket(Hash64(key)))) {
+		if uint64(h.nodeWord(ptr, 0))|uint64(h.nodeWord(ptr, 1))<<32 == key {
 			out = append(out, h.nodeWord(ptr, 2))
 		}
-		ptr = h.nodeWord(ptr, 3)
 	}
+	return out
+}
+
+// nodeAccessNames names the parts of one node access (wireNodeAccess),
+// each under the pipeline's prefix. The DRAM node is named tile+"D".
+type nodeAccessNames struct {
+	split, toSpad, toDram, fromSpad, fromDram, tile, join, out string
+}
+
+// wireNodeAccess wires one access to the node a thread's slot field names,
+// across the table's split address space (paper fig. 7a): a filter sends
+// each thread to the scratchpad tile on Nodes or to a DRAMNode on the
+// overflow buffer, and a merge rejoins the two paths onto the returned
+// link. spec is the access without Addr (In and Out are the thread
+// schema); off is the word offset within the node.
+func (h *HashTable) wireNodeAccess(g *fabric.Graph, pf string, spec spad.Spec, slotField int, off uint32, in *sim.Link, n nodeAccessNames) *sim.Link {
+	p := h.Params
+	toSpad := g.Link(pf + "." + n.toSpad)
+	toDram := g.Link(pf + "." + n.toDram)
+	fromSpad := g.Link(pf + "." + n.fromSpad)
+	fromDram := g.Link(pf + "." + n.fromDram)
+	g.Add(fabric.NewFilter(pf+"."+n.split, func(r *record.Rec) int {
+		if onChip, _ := p.nodeAddr(r.Get(slotField)); onChip {
+			return 0
+		}
+		return 1
+	}, in, []fabric.Output{{Link: toSpad}, {Link: toDram}}, nil).Typed(spec.In))
+	spec.Addr = func(r *record.Rec) uint32 {
+		_, a := p.nodeAddr(r.Get(slotField))
+		return a + off
+	}
+	g.Add(spad.NewTile(p.Tuning.spadConfig(pf+"."+n.tile), h.Nodes, spec, toSpad, fromSpad, g.Stats()))
+	fabric.NewDRAMNode(g, pf+"."+n.tile+"D", spec, toDram, fromDram)
+	out := g.Link(pf + "." + n.out)
+	g.Add(fabric.NewMerge(pf+"."+n.join, fromSpad, fromDram, out).Typed(spec.Out, spec.Out, spec.Out))
 	return out
 }
 
@@ -325,7 +365,6 @@ func buildPipeline(g *fabric.Graph, pf string, ht *HashTable, input StreamIn) *f
 	kw := p.keyWords()
 	nw := p.nodeWords()
 	f := buildSchema(kw)
-	nodes, heads := ht.Nodes, ht.Heads
 
 	// Thread layout: the external [key..., val] stream widens at the stamp
 	// stage with the build-loop state; every link past it carries the full
@@ -346,41 +385,15 @@ func buildPipeline(g *fabric.Graph, pf string, ht *HashTable, input StreamIn) *f
 	}, src, stamped).Typed(inS, fullS))
 
 	// --- node-body scatter: SRAM path or DRAM overflow path ---
-	toSpadW := g.Link(pf + ".toSpadW")
-	toDramW := g.Link(pf + ".toDramW")
-	wroteSpad := g.Link(pf + ".wroteSpad")
-	wroteDram := g.Link(pf + ".wroteDram")
-	g.Add(fabric.NewFilter(pf+".split", func(r *record.Rec) int {
-		if r.Get(f.slot) < p.SpadNodes {
-			return 0
-		}
-		return 1
-	}, stamped, []fabric.Output{{Link: toSpadW}, {Link: toDramW}}, nil).Typed(fullS))
-	g.Add(spad.NewTile(p.Tuning.spadConfig(pf+".nodeW"), nodes, spad.Spec{
+	ext := ht.wireNodeAccess(g, pf, spad.Spec{
 		Op:    spad.OpWrite,
 		Width: kw + 1,
-		Addr:  func(r *record.Rec) uint32 { return r.Get(f.slot) * nw },
 		Data:  func(r *record.Rec, i int) uint32 { return r.Get(i) }, // keys..., val
 		In:    fullS,
 		Out:   fullS,
 		// Each thread scatters the body of its own freshly-reserved slot.
 		DisjointAddrs: true,
-	}, toSpadW, wroteSpad, g.Stats()))
-	fabric.NewDRAMNode(g, pf+".nodeWD", spad.Spec{
-		Op:    spad.OpWrite,
-		Width: kw + 1,
-		Addr: func(r *record.Rec) uint32 {
-			return p.OverflowBase + (r.Get(f.slot)-p.SpadNodes)*nw
-		},
-		Data: func(r *record.Rec, i int) uint32 { return r.Get(i) },
-		In:   fullS,
-		Out:  fullS,
-		// Same slot reservation, overflow half of the address space.
-		DisjointAddrs: true,
-	}, toDramW, wroteDram)
-
-	ext := g.Link(pf + ".ext")
-	g.Add(fabric.NewMerge(pf+".rejoin", wroteSpad, wroteDram, ext).Typed(fullS, fullS, fullS))
+	}, f.slot, 0, stamped, nodeAccessNames{"split", "toSpadW", "toDramW", "wroteSpad", "wroteDram", "nodeW", "rejoin", "ext"})
 
 	// --- CAS-prepend retry loop (paper §III-A, fig. 6c) ---
 	ctl := fabric.NewLoopCtl()
@@ -390,45 +403,20 @@ func buildPipeline(g *fabric.Graph, pf string, ht *HashTable, input StreamIn) *f
 	g.Add(fabric.NewLoopMerge(pf+".entry", recirc2, ext, body, ctl).Typed(fullS, fullS, fullS))
 
 	// Scatter cur into the node's next field (SRAM or DRAM per slot).
-	nextSpadIn := g.Link(pf + ".nextSpadIn")
-	nextDramIn := g.Link(pf + ".nextDramIn")
-	nextSpadOut := g.Link(pf + ".nextSpadOut")
-	nextDramOut := g.Link(pf + ".nextDramOut")
-	g.Add(fabric.NewFilter(pf+".nextSplit", func(r *record.Rec) int {
-		if r.Get(f.slot) < p.SpadNodes {
-			return 0
-		}
-		return 1
-	}, body, []fabric.Output{{Link: nextSpadIn, NoEOS: false}, {Link: nextDramIn}}, nil).Typed(fullS))
-	g.Add(spad.NewTile(p.Tuning.spadConfig(pf+".nextW"), nodes, spad.Spec{
+	casIn := ht.wireNodeAccess(g, pf, spad.Spec{
 		Op:    spad.OpWrite,
 		Width: 1,
-		Addr:  func(r *record.Rec) uint32 { return r.Get(f.slot)*nw + nw - 1 },
 		Data:  func(r *record.Rec, _ int) uint32 { return r.Get(f.cur) },
 		In:    fullS,
 		Out:   fullS,
 		// A thread only ever rewrites its own slot's next field; retries of
 		// one thread are causally ordered through the recirculating path.
 		DisjointAddrs: true,
-	}, nextSpadIn, nextSpadOut, g.Stats()))
-	fabric.NewDRAMNode(g, pf+".nextWD", spad.Spec{
-		Op:    spad.OpWrite,
-		Width: 1,
-		Addr: func(r *record.Rec) uint32 {
-			return p.OverflowBase + (r.Get(f.slot)-p.SpadNodes)*nw + nw - 1
-		},
-		Data:          func(r *record.Rec, _ int) uint32 { return r.Get(f.cur) },
-		In:            fullS,
-		Out:           fullS,
-		DisjointAddrs: true, // own slot's next field, overflow half
-	}, nextDramIn, nextDramOut)
-
-	casIn := g.Link(pf + ".casIn")
+	}, f.slot, nw-1, body, nodeAccessNames{"nextSplit", "nextSpadIn", "nextDramIn", "nextSpadOut", "nextDramOut", "nextW", "nextJoin", "casIn"})
 	casOut := g.Link(pf + ".casOut")
-	g.Add(fabric.NewMerge(pf+".nextJoin", nextSpadOut, nextDramOut, casIn).Typed(fullS, fullS, fullS))
 
 	// Atomic gather-scatter CAS on the bucket head.
-	g.Add(spad.NewTile(p.Tuning.spadConfig(pf+".cas"), heads, spad.Spec{
+	g.Add(spad.NewTile(p.Tuning.spadConfig(pf+".cas"), ht.Heads, spad.Spec{
 		Op:   spad.OpCAS,
 		Addr: func(r *record.Rec) uint32 { return r.Get(f.bucket) },
 		Data: func(r *record.Rec, i int) uint32 {

@@ -39,8 +39,8 @@ func NewSymmetricJoin(p HashTableParams, hbm *dram.HBM) (*SymmetricJoin, error) 
 		return nil, err
 	}
 	pd := p
-	if pd.MaxNodes > pd.SpadNodes {
-		pd.OverflowBase = p.OverflowBase + (p.MaxNodes-p.SpadNodes)*p.nodeWords()
+	if onChip, end := p.nodeAddr(p.MaxNodes); !onChip {
+		pd.OverflowBase = end // Req's overflow buffer ends at slot MaxNodes
 	}
 	drv, err := NewHashTable(pd, hbm)
 	if err != nil {

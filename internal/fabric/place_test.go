@@ -2,8 +2,12 @@ package fabric
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+
+	"aurochs/internal/dram"
+	"aurochs/internal/record"
 )
 
 func chainNetlist(n int) Netlist {
@@ -123,22 +127,42 @@ func TestValidateRejectsCorruptPlacements(t *testing.T) {
 	}
 }
 
-// TestProbeKernelPlacementMatchesDefault: the default LinkLatency used by
-// every kernel must match the placed reality of the probe kernel within a
-// hop — the justification for not threading a placement through each graph.
-func TestProbeKernelPlacementMatchesDefault(t *testing.T) {
-	nl := ProbeKernelNetlist()
+// TestGraphNetlist: a graph's netlist lists its ported components in
+// registration order and one edge per link in creation order, skipping the
+// HBM clock, and the netlist places.
+func TestGraphNetlist(t *testing.T) {
+	g := NewGraph()
+	g.AttachHBM(dram.New(dram.DefaultConfig()))
+	s := record.NewSchema("id", "count")
+	ext, body, dec, exit, recirc := g.Link("ext"), g.Link("body"),
+		g.Link("dec"), g.Link("exit"), g.Link("recirc")
+	ctl := NewLoopCtl()
+	g.Add(NewSource("src", nil, ext).Typed(s))
+	g.Add(NewLoopMerge("entry", recirc, ext, body, ctl).Typed(s, s, s))
+	g.Add(NewMap("dec", func(*record.Rec) {}, body, dec).Cyclic().Typed(s, s))
+	g.Add(NewFilter("exit?", func(*record.Rec) int { return 0 }, dec, []Output{
+		{Link: exit, Exit: true},
+		{Link: recirc, NoEOS: true},
+	}, ctl).Typed(s))
+	g.Add(NewSink("snk", exit).Typed(s))
+
+	nl := g.Netlist()
+	want := Netlist{
+		Nodes: []string{"src", "entry", "dec", "exit?", "snk"},
+		Edges: [][2]string{
+			{"src", "entry"}, {"entry", "dec"}, {"dec", "exit?"},
+			{"exit?", "snk"}, {"exit?", "entry"},
+		},
+	}
+	if !reflect.DeepEqual(nl, want) {
+		t.Fatalf("netlist\n%v\nwant\n%v", nl, want)
+	}
 	p, err := Place(nl, GorgonGrid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, mean, err := p.WireStats(nl)
-	if err != nil {
+	if err := p.Validate(nl); err != nil {
 		t.Fatal(err)
-	}
-	meanLatency := 1 + mean
-	if meanLatency < float64(LinkLatency)-1 || meanLatency > float64(LinkLatency)+2 {
-		t.Errorf("probe kernel mean placed latency %.1f; kernels assume %d", meanLatency, LinkLatency)
 	}
 }
 
