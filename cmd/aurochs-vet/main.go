@@ -11,12 +11,11 @@
 //
 //   - internal/sim, internal/fabric, internal/spad, internal/dram (the
 //     cycle-level core) get the full determinism rule set (wallclock,
-//     globalrand, maprange, print) plus the contract analyzers
-//     (tickpurity, orderdep);
-//   - other internal packages get print hygiene plus the contract
-//     analyzers — components are defined outside the core too (kernels in
-//     internal/core), and the contract analyzers are no-ops on packages
-//     without components;
+//     globalrand, maprange, print) plus the tickpurity contract analyzer;
+//   - other internal packages get print hygiene plus tickpurity —
+//     components are defined outside the core too (kernels in
+//     internal/core), and tickpurity is a no-op on packages without
+//     components;
 //   - internal/bench is exempt (it is the reporting harness — printing is
 //     its job), as are cmd/ and testdata;
 //   - a fixture package under testdata/src/, named explicitly (recursive
@@ -128,7 +127,7 @@ func analyzersFor(rel string, opt vetOptions) []*analysis.Analyzer {
 	default:
 		return nil
 	}
-	as := []*analysis.Analyzer{det, analysis.TickPurity, analysis.Orderdep}
+	as := []*analysis.Analyzer{det, analysis.TickPurity}
 	if opt.Allocs && (engineScope[rel] || fixture) {
 		as = append(as, analysis.Hotalloc)
 	}
@@ -333,7 +332,7 @@ func vetGraphs(opt graphOptions) ([]analysis.Finding, error) {
 func enabledFamilies(opt vetOptions, graphsOn, packagesOn bool) []string {
 	var fams []string
 	if packagesOn {
-		fams = append(fams, "determinism", "tickpurity", "orderdep")
+		fams = append(fams, "determinism", "tickpurity")
 		if opt.Allocs {
 			fams = append(fams, "hotalloc")
 		}

@@ -23,24 +23,24 @@ func TestAnalyzersFor(t *testing.T) {
 		first string
 		last  string
 	}{
-		{"internal/sim", vetOptions{}, 3, "determinism", "orderdep"},
-		{"internal/fabric", vetOptions{}, 3, "determinism", "orderdep"},
-		{"internal/core", vetOptions{}, 3, "determinism", "orderdep"},
-		{"internal/blueprint", vetOptions{}, 3, "determinism", "orderdep"},
+		{"internal/sim", vetOptions{}, 2, "determinism", "tickpurity"},
+		{"internal/fabric", vetOptions{}, 2, "determinism", "tickpurity"},
+		{"internal/core", vetOptions{}, 2, "determinism", "tickpurity"},
+		{"internal/blueprint", vetOptions{}, 2, "determinism", "tickpurity"},
 		{"internal/bench", vetOptions{}, 0, "", ""},
 		{"cmd/aurochs-vet", vetOptions{}, 0, "", ""},
 		{".", vetOptions{}, 0, "", ""},
 		// The engine scope grows the optional prover; packages outside it
 		// (blueprint, dram) never do.
-		{"internal/sim", vetOptions{Allocs: true}, 4, "determinism", "hotalloc"},
-		{"internal/ring", vetOptions{Allocs: true}, 4, "determinism", "hotalloc"},
-		{"internal/core", vetOptions{Allocs: true}, 4, "determinism", "hotalloc"},
-		{"internal/blueprint", vetOptions{Allocs: true}, 3, "determinism", "orderdep"},
-		{"internal/dram", vetOptions{Allocs: true}, 3, "determinism", "orderdep"},
+		{"internal/sim", vetOptions{Allocs: true}, 3, "determinism", "hotalloc"},
+		{"internal/ring", vetOptions{Allocs: true}, 3, "determinism", "hotalloc"},
+		{"internal/core", vetOptions{Allocs: true}, 3, "determinism", "hotalloc"},
+		{"internal/blueprint", vetOptions{Allocs: true}, 2, "determinism", "tickpurity"},
+		{"internal/dram", vetOptions{Allocs: true}, 2, "determinism", "tickpurity"},
 		// Explicitly named fixture packages run the optional prover so the
 		// CI negative gates exercise the real analyzer path.
-		{"internal/analysis/testdata/src/allocbad", vetOptions{Allocs: true}, 4, "determinism", "hotalloc"},
-		{"internal/analysis/testdata/src/detbad", vetOptions{}, 3, "determinism", "orderdep"},
+		{"internal/analysis/testdata/src/allocbad", vetOptions{Allocs: true}, 3, "determinism", "hotalloc"},
+		{"internal/analysis/testdata/src/detbad", vetOptions{}, 2, "determinism", "tickpurity"},
 	}
 	for _, tc := range cases {
 		as := analyzersFor(tc.rel, tc.opt)
@@ -143,7 +143,7 @@ func TestVetGraphsFixtures(t *testing.T) {
 // its count, zeros included.
 func TestCensusLine(t *testing.T) {
 	fams := enabledFamilies(vetOptions{Allocs: true}, true, true)
-	want := []string{"determinism", "tickpurity", "orderdep", "hotalloc", "graphs", "flow"}
+	want := []string{"determinism", "tickpurity", "hotalloc", "graphs", "flow"}
 	if len(fams) != len(want) {
 		t.Fatalf("enabledFamilies = %v, want %v", fams, want)
 	}
@@ -153,9 +153,9 @@ func TestCensusLine(t *testing.T) {
 		}
 	}
 	got := censusLine(fams, []analysis.Finding{
-		{Analyzer: "flow"}, {Analyzer: "flow"}, {Analyzer: "orderdep"},
+		{Analyzer: "flow"}, {Analyzer: "flow"}, {Analyzer: "tickpurity"},
 	})
-	const wantLine = "determinism 0, tickpurity 0, orderdep 1, hotalloc 0, graphs 0, flow 2"
+	const wantLine = "determinism 0, tickpurity 1, hotalloc 0, graphs 0, flow 2"
 	if got != wantLine {
 		t.Fatalf("censusLine = %q, want %q", got, wantLine)
 	}
@@ -169,12 +169,12 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // TestJSONGolden pins the complete -json output contract — analyzer name
 // and waiver status on every diagnostic, both for source-level findings
-// (the orderbad fixture) and graph-level findings (the -schemas prover on
+// (the puritybad fixture) and graph-level findings (the -schemas prover on
 // the shipped registry, whose waived effects must carry waived=true).
 // Regenerate with: go test ./cmd/aurochs-vet -run TestJSONGolden -update
 func TestJSONGolden(t *testing.T) {
 	fixtures := []string{
-		filepath.Join("..", "..", "internal", "analysis", "testdata", "src", "orderbad"),
+		filepath.Join("..", "..", "internal", "analysis", "testdata", "src", "puritybad"),
 		filepath.Join("..", "..", "internal", "analysis", "testdata", "src", "allocbad"),
 	}
 	src, err := vetPackages(fixtures, vetOptions{Allocs: true})
@@ -219,7 +219,7 @@ func TestJSONGolden(t *testing.T) {
 	}
 
 	// The golden file itself must decode and keep the waiver split: the
-	// orderbad fixture contributes hard findings, the registry contributes
+	// puritybad fixture contributes hard findings, the registry contributes
 	// waived ones.
 	var decoded []analysis.Finding
 	if err := json.Unmarshal(want, &decoded); err != nil {

@@ -6,12 +6,13 @@
 //     component's own tick — Idle, CanPush, Done, Drained, Empty — must be
 //     observably pure, because the idle-skip and the commit-time credit
 //     recomputation assume repeated calls cannot change simulation state;
-//   - orderdep: every order-dependent scratchpad RMW (spad.Spec) carries a
-//     reviewable justification, because the reordering pipelines retire
-//     threads in completion order;
 //   - hotalloc: nothing reachable from the per-cycle path — component
 //     Ticks, link and queue operations, functions marked hot:path — may
 //     allocate without a reviewed marker.
+//
+// Reorder safety of scratchpad effects is not a source rule here:
+// fabric.Graph.Check rejects every unjustified order-dependent spad.Spec
+// on the wired graph, before any run and in aurochs-vet -graphs.
 //
 // The API deliberately mirrors golang.org/x/tools/go/analysis (Analyzer /
 // Pass / Reportf) so analyzers written here port to the upstream driver
@@ -53,7 +54,7 @@ type Finding struct {
 	Rule string `json:"rule"`
 	Msg  string `json:"msg"`
 	// Analyzer names the engine pass that produced the finding
-	// ("determinism", "tickpurity", "orderdep", "graphs"). Rule is the
+	// ("determinism", "tickpurity", "hotalloc", "graphs", "flow"). Rule is the
 	// specific violation within that pass; for single-rule analyzers the
 	// two coincide.
 	Analyzer string `json:"analyzer"`

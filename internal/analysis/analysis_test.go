@@ -67,43 +67,6 @@ func TestPurityCleanFixture(t *testing.T) {
 	}
 }
 
-// TestOrderBadFixture: each seeded order-dependent Spec literal is caught —
-// a bare write, a raw Modify closure, an unwaived CAS, and an empty-string
-// waiver — and the messages carry the remedy.
-func TestOrderBadFixture(t *testing.T) {
-	pkg := loadFixture(t, "orderbad")
-	fs := runAnalyzers(t, pkg, Orderdep)
-	if got := countRule(fs, "orderdep"); got != 4 {
-		t.Fatalf("orderdep: got %d findings, want 4\n%v", got, fs)
-	}
-	var sawWrite, sawModify, sawAnalyzer bool
-	for _, f := range fs {
-		if strings.Contains(f.Msg, "OpWrite") {
-			sawWrite = true
-		}
-		if strings.Contains(f.Msg, "OpModify") && strings.Contains(f.Msg, "Combiner") {
-			sawModify = true
-		}
-		if f.Analyzer == "orderdep" {
-			sawAnalyzer = true
-		}
-	}
-	if !sawWrite || !sawModify || !sawAnalyzer {
-		t.Errorf("missing expected findings (write=%v modify=%v analyzer=%v):\n%v",
-			sawWrite, sawModify, sawAnalyzer, fs)
-	}
-}
-
-// TestOrderCleanFixture: every sanctioned escape — pure read, FAA, disjoint
-// addresses, a declared combiner, a non-empty waiver field, and a comment
-// waiver — passes without findings.
-func TestOrderCleanFixture(t *testing.T) {
-	pkg := loadFixture(t, "orderclean")
-	if fs := runAnalyzers(t, pkg, Orderdep); len(fs) != 0 {
-		t.Errorf("clean fixture flagged:\n%v", fs)
-	}
-}
-
 // TestAllocBadFixture: every class of hidden allocation on the hot path is
 // caught — append growth, map writes, make, escaping composites, closure
 // cells, interface boxing, fmt, and string concatenation — and so is the
@@ -174,7 +137,7 @@ func TestDetBadFixture(t *testing.T) {
 func TestDeterminismAdapter(t *testing.T) {
 	pkg := loadFixture(t, "detbad")
 	alone := runAnalyzers(t, pkg, Determinism)
-	mixed := runAnalyzers(t, pkg, TickPurity, Orderdep, Hotalloc, Determinism)
+	mixed := runAnalyzers(t, pkg, TickPurity, Hotalloc, Determinism)
 	var got []Finding
 	for _, f := range mixed {
 		if f.Analyzer == "determinism" {
@@ -288,7 +251,7 @@ func TestSortFindingsAcrossAnalyzers(t *testing.T) {
 }
 
 // TestRepoComponentsAreClean: the shipped simulator packages satisfy the
-// tickpurity and orderdep contracts — this is the in-repo half of the CI
+// tickpurity contract — this is the in-repo half of the CI
 // gate. An impure observation method flagged here would make idle-skip
 // runs diverge from the polling reference.
 func TestRepoComponentsAreClean(t *testing.T) {
@@ -304,7 +267,7 @@ func TestRepoComponentsAreClean(t *testing.T) {
 		if pkg.TypeError != nil {
 			t.Fatalf("%s failed to type-check: %v", dir, pkg.TypeError)
 		}
-		if fs := runAnalyzers(t, pkg, TickPurity, Orderdep); len(fs) != 0 {
+		if fs := runAnalyzers(t, pkg, TickPurity); len(fs) != 0 {
 			t.Errorf("internal/%s has contract findings:\n%v", dir, fs)
 		}
 	}

@@ -54,7 +54,7 @@ func flowbad(n int) (*fabric.Graph, error) {
 		if c := r.Get(1); c > 0 {
 			r.Put(1, c-1)
 		}
-	}, body, recirc).Cyclic().Typed(s, s))
+	}, body, recirc).Typed(s, s))
 	return g, nil
 }
 
@@ -75,7 +75,7 @@ func flowclean(n int) (*fabric.Graph, error) {
 	actl, bctl := fabric.NewLoopCtl(), fabric.NewLoopCtl()
 	g.Add(fabric.NewSource("src", countRecs(n, 2), ext).Typed(s))
 	g.Add(fabric.NewLoopMerge("a.entry", aRec, ext, aBody, actl).Typed(s, s, s))
-	g.Add(fabric.NewMap("a.dec", dec, aBody, aDec).Cyclic().Typed(s, s))
+	g.Add(fabric.NewMap("a.dec", dec, aBody, aDec).Typed(s, s))
 	g.Add(fabric.NewFilter("a.exit?", func(r *record.Rec) int {
 		if r.Get(1) <= 1 {
 			return 0
@@ -86,7 +86,7 @@ func flowclean(n int) (*fabric.Graph, error) {
 		{Link: aRec, NoEOS: true},
 	}, actl).Typed(s))
 	g.Add(fabric.NewLoopMerge("b.entry", bRec, handoff, bBody, bctl).Typed(s, s, s))
-	g.Add(fabric.NewMap("b.dec", dec, bBody, bDec).Cyclic().Typed(s, s))
+	g.Add(fabric.NewMap("b.dec", dec, bBody, bDec).Typed(s, s))
 	g.Add(fabric.NewFilter("b.exit?", func(r *record.Rec) int {
 		if r.Get(1) == 0 {
 			return 0

@@ -452,7 +452,7 @@ func buildPipeline(g *fabric.Graph, pf string, ht *HashTable, input StreamIn) *f
 	}, ctl).Typed(fullS))
 	g.Add(fabric.NewMap(pf+".refresh", func(r *record.Rec) {
 		r.Put(f.cur, r.Get(f.obs))
-	}, recirc, recirc2).Cyclic().Typed(fullS, fullS))
+	}, recirc, recirc2).Typed(fullS, fullS))
 
 	snk := fabric.NewCountSink(pf+".sink", done).Typed(fullS)
 	g.Add(snk)

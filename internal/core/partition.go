@@ -222,7 +222,7 @@ func PartitionInto(g *fabric.Graph, pf string, p PartitionParams, input StreamIn
 	g.Add(fabric.NewMap(pf+".hash", func(r *record.Rec) {
 		part := (Hash32(r.Get(0)) >> p.HashShift) & (p.Parts - 1)
 		r.Put(fPart, part)
-	}, body, hashed).Cyclic().Typed(inS, partS))
+	}, body, hashed).Typed(inS, partS))
 
 	// A saturating fetch-and-add (the RMW ALU's combiner): retry threads
 	// hammering a stalled partition stop incrementing once the count field
@@ -279,7 +279,7 @@ func PartitionInto(g *fabric.Graph, pf string, p PartitionParams, input StreamIn
 		{Link: storeIn, Exit: true},
 		{Link: allocIn},
 		{Link: retry, NoEOS: true},
-	}, ctl).Cyclic().Typed(metaS))
+	}, ctl).Typed(metaS))
 
 	// Store path (exits the loop): scatter the record into its block slot.
 	// Each thread's {ptr, cnt} ticket names a slot no other thread holds,
@@ -344,7 +344,7 @@ func PartitionInto(g *fabric.Graph, pf string, p PartitionParams, input StreamIn
 	}, linked, published, g.Stats()))
 
 	// Rejoin both recirculating paths.
-	g.Add(fabric.NewMerge(pf+".recirc", published, retry, recircJoin).Cyclic().Typed(metaS, metaS, metaS))
+	g.Add(fabric.NewMerge(pf+".recirc", published, retry, recircJoin).Typed(metaS, metaS, metaS))
 
 	return ps, snk, nil
 }

@@ -14,7 +14,9 @@ import (
 // tile with cyclic dataflow first lets the cycle empty, then signals stream
 // end on the non-cyclic path. The control tracks threads alive inside the
 // loop; stream end enters the loop body only when the external input has
-// ended and no thread remains in flight.
+// ended and no thread remains in flight. Nodes the stream end can never
+// reach are then done whenever they are empty: Graph.Check derives that
+// drain role from the wiring (drainroles.go).
 type LoopCtl struct {
 	inflight int64
 	// limit is the admission bound (0 = unbounded): the loop entry stops
@@ -61,7 +63,9 @@ type Output struct {
 	Exit bool
 	// NoEOS suppresses end-of-stream on this output — set on the cyclic
 	// (recirculating) path, which by the drain protocol never carries a
-	// stream-end token out of the filter.
+	// stream-end token out of the filter. It is the one drain declaration
+	// a kernel makes: Graph.Check derives from it which downstream nodes
+	// never see end-of-stream (drainroles.go).
 	NoEOS bool
 }
 
@@ -76,14 +80,14 @@ type Filter struct {
 	outs  []Output
 	ctl   *LoopCtl
 
-	pipe       ring.Queue[timedVec]
-	acc        []ring.Queue[record.Rec]
-	lastAppend []int64
-	eosIn      bool
-	eos        []bool
-	cyclic     bool
-	inSchema   *record.Schema
-	outSchemas []*record.Schema // parallel to outs (incl. nil-link slots)
+	pipe          ring.Queue[timedVec]
+	acc           []ring.Queue[record.Rec]
+	lastAppend    []int64
+	eosIn         bool
+	eos           []bool
+	doneWhenEmpty bool // drain role derived by Graph.Check (drainroles.go)
+	inSchema      *record.Schema
+	outSchemas    []*record.Schema // parallel to outs (incl. nil-link slots)
 }
 
 // NewFilter builds a filter. route returns the output index for each
@@ -121,13 +125,6 @@ func NewFilter(name string, route func(*record.Rec) int, in *sim.Link, outs []Ou
 // Recycle implements sim.Recycler: a drained filter hands its pipe back.
 func (f *Filter) Recycle() { pipes.Put(&f.pipe) }
 
-// Cyclic marks the filter as living on a recirculating path that never
-// carries end-of-stream; it is done whenever empty.
-func (f *Filter) Cyclic() *Filter {
-	f.cyclic = true
-	return f
-}
-
 // Name implements sim.Component.
 func (f *Filter) Name() string { return f.name }
 
@@ -148,7 +145,7 @@ func (f *Filter) OutputLinks() []*sim.Link {
 
 // Done implements sim.Component.
 func (f *Filter) Done() bool {
-	if f.cyclic {
+	if f.doneWhenEmpty {
 		if f.pipe.Len() > 0 {
 			return false
 		}
@@ -373,14 +370,14 @@ type Merge struct {
 	out  *sim.Link
 	ctl  *LoopCtl // non-nil: this is a loop-entry merge; sec is external
 
-	acc       ring.Queue[record.Rec]
-	priEOS    bool
-	secEOS    bool
-	eos       bool
-	cyclic    bool
-	priSchema *record.Schema
-	secSchema *record.Schema
-	outSchem  *record.Schema
+	acc           ring.Queue[record.Rec]
+	priEOS        bool
+	secEOS        bool
+	eos           bool
+	doneWhenEmpty bool // drain role derived by Graph.Check (drainroles.go)
+	priSchema     *record.Schema
+	secSchema     *record.Schema
+	outSchem      *record.Schema
 }
 
 // NewMerge builds a plain merge: priority input pri, secondary sec.
@@ -399,13 +396,6 @@ func NewLoopMerge(name string, recirc, ext, out *sim.Link, ctl *LoopCtl) *Merge 
 	return &Merge{name: name, pri: recirc, sec: ext, out: out, ctl: ctl}
 }
 
-// Cyclic marks the merge as living on a recirculating path; it is done
-// whenever its accumulator is empty.
-func (m *Merge) Cyclic() *Merge {
-	m.cyclic = true
-	return m
-}
-
 // Name implements sim.Component.
 func (m *Merge) Name() string { return m.name }
 
@@ -422,7 +412,7 @@ func (m *Merge) loopEntry() bool { return m.ctl != nil }
 
 // Done implements sim.Component.
 func (m *Merge) Done() bool {
-	if m.cyclic {
+	if m.doneWhenEmpty {
 		return m.acc.Len() == 0
 	}
 	return m.eos
@@ -529,12 +519,12 @@ type Fork struct {
 	ctl  *LoopCtl
 	kids []record.Rec // reused expansion buffer, handed to fn as dst[:0]
 
-	buf      ring.Queue[timedRec]
-	eosIn    bool
-	eos      bool
-	cyclic   bool
-	inSchema *record.Schema
-	outSchem *record.Schema
+	buf           ring.Queue[timedRec]
+	eosIn         bool
+	eos           bool
+	doneWhenEmpty bool // drain role derived by Graph.Check (drainroles.go)
+	inSchema      *record.Schema
+	outSchem      *record.Schema
 }
 
 type timedRec struct {
@@ -550,13 +540,6 @@ func NewFork(name string, fn func(dst []record.Rec, r *record.Rec) []record.Rec,
 	return &Fork{name: name, fn: fn, in: in, out: out, ctl: ctl}
 }
 
-// Cyclic marks the fork as living on a recirculating path; it is done
-// whenever its expansion buffer is empty.
-func (f *Fork) Cyclic() *Fork {
-	f.cyclic = true
-	return f
-}
-
 // Name implements sim.Component.
 func (f *Fork) Name() string { return f.name }
 
@@ -568,7 +551,7 @@ func (f *Fork) OutputLinks() []*sim.Link { return []*sim.Link{f.out} }
 
 // Done implements sim.Component.
 func (f *Fork) Done() bool {
-	if f.cyclic {
+	if f.doneWhenEmpty {
 		return f.buf.Len() == 0
 	}
 	return f.eos

@@ -101,6 +101,7 @@ func (e *CheckError) Has(code DiagCode) bool {
 type linkEnds struct {
 	producers []int
 	consumers []int
+	eos       bool // the link can carry end-of-stream (drainroles.go)
 }
 
 // attribute deduplicates the registered components and attributes every
@@ -159,8 +160,9 @@ func (g *Graph) attribute() ([]sim.Component, map[*sim.Link]*linkEnds, []Diag) {
 // listing every defect found, or nil when the topology is sound. Run calls
 // it automatically; call it directly to validate a graph without
 // simulating. Check also installs each loop's admission bound, derived
-// from its ring (admission.go), so a graph started with Sys.Run after
-// Check runs exactly as Run would run it.
+// from its ring (admission.go), and each node's drain role, derived from
+// which links can carry end-of-stream (drainroles.go), so a graph started
+// with Sys.Run after Check runs exactly as Run would run it.
 func (g *Graph) Check() error {
 	diags := append([]Diag(nil), g.defects...)
 
@@ -230,6 +232,7 @@ func (g *Graph) Check() error {
 	}
 
 	diags = append(diags, g.checkCycles(comps, ends)...)
+	deriveDrainRoles(comps, ends)
 	diags = append(diags, g.checkSchemas(comps, ends)...)
 	diags = append(diags, g.checkReorder(comps)...)
 

@@ -201,7 +201,7 @@ func TestCheckAcceptsWellFormedLoop(t *testing.T) {
 	ctl := NewLoopCtl()
 	g.Add(NewSource("src", []record.Rec{record.Make(0, 3)}, ext))
 	g.Add(NewLoopMerge("entry", recirc, ext, body, ctl))
-	g.Add(NewMap("dec", func(r *record.Rec) {}, body, dec).Cyclic())
+	g.Add(NewMap("dec", func(r *record.Rec) {}, body, dec))
 	g.Add(NewFilter("exit?", func(r *record.Rec) int { return 0 }, dec, []Output{
 		{Link: exit, Exit: true},
 		{Link: recirc, NoEOS: true},

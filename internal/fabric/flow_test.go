@@ -41,7 +41,7 @@ func undersizedSpinLoop(n int) *Graph {
 	ctl := NewLoopCtl()
 	g.Add(NewSource("src", flowRecs(n, 1), ext))
 	g.Add(NewLoopMerge("entry", recirc, ext, body, ctl))
-	g.Add(NewMap("spin", decCount, body, recirc).Cyclic())
+	g.Add(NewMap("spin", decCount, body, recirc))
 	return g
 }
 
@@ -55,7 +55,7 @@ func swappedLoopMerge(n int) *Graph {
 	ctl := NewLoopCtl()
 	g.Add(NewSource("src", flowRecs(n, 3), ext))
 	g.Add(NewLoopMerge("entry", ext, recirc, body, ctl)) // swapped!
-	g.Add(NewMap("dec", decCount, body, dec).Cyclic())
+	g.Add(NewMap("dec", decCount, body, dec))
 	g.Add(NewFilter("exit?", exitWhenZero, dec, []Output{
 		{Link: exit, Exit: true},
 		{Link: recirc, NoEOS: true},
@@ -73,7 +73,7 @@ func nilCtlExit(n int) *Graph {
 	ctl := NewLoopCtl()
 	g.Add(NewSource("src", flowRecs(n, 1), ext))
 	g.Add(NewLoopMerge("entry", recirc, ext, body, ctl))
-	g.Add(NewMap("dec", decCount, body, dec).Cyclic())
+	g.Add(NewMap("dec", decCount, body, dec))
 	g.Add(NewFilter("exit?", exitWhenZero, dec, []Output{
 		{Link: exit, Exit: true},
 		{Link: recirc, NoEOS: true},
@@ -94,8 +94,8 @@ func uncountedSideEntry(n int) *Graph {
 	g.Add(NewSource("src", flowRecs(n, 1), ext))
 	g.Add(NewSource("side", flowRecs(n, 1), sneak))
 	g.Add(NewLoopMerge("entry", recirc, ext, merged, ctl))
-	g.Add(NewMerge("mix", merged, sneak, body).Cyclic())
-	g.Add(NewMap("dec", decCount, body, dec).Cyclic())
+	g.Add(NewMerge("mix", merged, sneak, body))
+	g.Add(NewMap("dec", decCount, body, dec))
 	g.Add(NewFilter("exit?", exitWhenZero, dec, []Output{
 		{Link: exit, Exit: true},
 		{Link: recirc, NoEOS: true},
@@ -114,13 +114,13 @@ func exitBlockedChain(n int) *Graph {
 	actl, bctl := NewLoopCtl(), NewLoopCtl()
 	g.Add(NewSource("src", flowRecs(n, 1), ext))
 	g.Add(NewLoopMerge("a.entry", aRec, ext, aBody, actl))
-	g.Add(NewMap("a.dec", decCount, aBody, aDec).Cyclic())
+	g.Add(NewMap("a.dec", decCount, aBody, aDec))
 	g.Add(NewFilter("a.exit?", exitWhenZero, aDec, []Output{
 		{Link: handoff, Exit: true},
 		{Link: aRec, NoEOS: true},
 	}, actl))
 	g.Add(NewLoopMerge("b.entry", bRec, handoff, bBody, bctl))
-	g.Add(NewMap("b.spin", decCount, bBody, bRec).Cyclic())
+	g.Add(NewMap("b.spin", decCount, bBody, bRec))
 	return g
 }
 
@@ -134,7 +134,7 @@ func chainedCleanLoops(n int) *Graph {
 	actl, bctl := NewLoopCtl(), NewLoopCtl()
 	g.Add(NewSource("src", flowRecs(n, 2), ext))
 	g.Add(NewLoopMerge("a.entry", aRec, ext, aBody, actl))
-	g.Add(NewMap("a.dec", decCount, aBody, aDec).Cyclic())
+	g.Add(NewMap("a.dec", decCount, aBody, aDec))
 	g.Add(NewFilter("a.exit?", func(r *record.Rec) int {
 		if r.Get(1) <= 1 {
 			return 0
@@ -145,7 +145,7 @@ func chainedCleanLoops(n int) *Graph {
 		{Link: aRec, NoEOS: true},
 	}, actl))
 	g.Add(NewLoopMerge("b.entry", bRec, handoff, bBody, bctl))
-	g.Add(NewMap("b.dec", decCount, bBody, bDec).Cyclic())
+	g.Add(NewMap("b.dec", decCount, bBody, bDec))
 	g.Add(NewFilter("b.exit?", exitWhenZero, bDec, []Output{
 		{Link: out, Exit: true},
 		{Link: bRec, NoEOS: true},

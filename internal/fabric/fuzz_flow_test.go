@@ -84,7 +84,7 @@ func buildFlowFuzzGraph(data []byte) *Graph {
 				g.Link(pf+"exit"), g.Link(pf+"recirc")
 			ctl := NewLoopCtl()
 			g.Add(NewLoopMerge(pf+"entry", rec, cur, body, ctl))
-			g.Add(NewMap(pf+"dec", decCount, body, dec).Cyclic())
+			g.Add(NewMap(pf+"dec", decCount, body, dec))
 			g.Add(NewFilter(pf+"exit?", exitWhenZero, dec, []Output{
 				{Link: exit, Exit: true},
 				{Link: rec, NoEOS: true},
@@ -95,7 +95,7 @@ func buildFlowFuzzGraph(data []byte) *Graph {
 				g.Link(pf+"exit"), g.Link(pf+"recirc")
 			ctl := NewLoopCtl()
 			g.Add(NewLoopMerge(pf+"entry", rec, cur, body, ctl))
-			g.Add(NewMap(pf+"dec", decCount, body, dec).Cyclic())
+			g.Add(NewMap(pf+"dec", decCount, body, dec))
 			g.Add(NewFilter(pf+"exit?", exitWhenZero, dec, []Output{
 				{Link: exit, Exit: true},
 				{Link: rec, NoEOS: true},
@@ -105,7 +105,7 @@ func buildFlowFuzzGraph(data []byte) *Graph {
 			body, rec := g.Link(pf+"body"), g.Link(pf+"recirc")
 			ctl := NewLoopCtl()
 			g.Add(NewLoopMerge(pf+"entry", rec, cur, body, ctl))
-			g.Add(NewMap(pf+"spin", decCount, body, rec).Cyclic())
+			g.Add(NewMap(pf+"spin", decCount, body, rec))
 			// The chain ends here: nothing ever leaves this segment.
 			g.Add(NewSink("snk", g.Link("dangling")))
 			vecRecs(srcRecs, counts)
@@ -116,7 +116,7 @@ func buildFlowFuzzGraph(data []byte) *Graph {
 				g.Link(pf+"exit"), g.Link(pf+"recirc")
 			ctl := NewLoopCtl()
 			g.Add(NewLoopMerge(pf+"entry", cur, rec, body, ctl))
-			g.Add(NewMap(pf+"dec", decCount, body, dec).Cyclic())
+			g.Add(NewMap(pf+"dec", decCount, body, dec))
 			g.Add(NewFilter(pf+"exit?", exitWhenZero, dec, []Output{
 				{Link: exit, Exit: true},
 				{Link: rec, NoEOS: true},
@@ -128,8 +128,8 @@ func buildFlowFuzzGraph(data []byte) *Graph {
 			ctl := NewLoopCtl()
 			g.Add(NewSource(pf+"sneak", flowRecs(2, 1), side))
 			g.Add(NewLoopMerge(pf+"entry", rec, cur, merged, ctl))
-			g.Add(NewMerge(pf+"mix", merged, side, body).Cyclic())
-			g.Add(NewMap(pf+"dec", decCount, body, dec).Cyclic())
+			g.Add(NewMerge(pf+"mix", merged, side, body))
+			g.Add(NewMap(pf+"dec", decCount, body, dec))
 			g.Add(NewFilter(pf+"exit?", exitWhenZero, dec, []Output{
 				{Link: exit, Exit: true},
 				{Link: rec, NoEOS: true},

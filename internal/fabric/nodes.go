@@ -175,12 +175,12 @@ type Map struct {
 	out  *sim.Link
 	fn   func(*record.Rec)
 
-	pipe     ring.Queue[timedVec]
-	eosIn    bool
-	eos      bool
-	cyclic   bool
-	inSchema *record.Schema
-	outSchem *record.Schema
+	pipe          ring.Queue[timedVec]
+	eosIn         bool
+	eos           bool
+	doneWhenEmpty bool // drain role derived by Graph.Check (drainroles.go)
+	inSchema      *record.Schema
+	outSchem      *record.Schema
 }
 
 type timedVec struct {
@@ -204,15 +204,6 @@ func NewMap(name string, fn func(*record.Rec), in, out *sim.Link) *Map {
 // Recycle implements sim.Recycler: a drained map hands its pipe back.
 func (m *Map) Recycle() { pipes.Put(&m.pipe) }
 
-// Cyclic marks the node as living on a recirculating path that never
-// carries an end-of-stream token (paper §III-A): the node is done whenever
-// it is empty, because the enclosing LoopCtl proves the loop has drained.
-// It returns the node for call chaining.
-func (m *Map) Cyclic() *Map {
-	m.cyclic = true
-	return m
-}
-
 // Name implements sim.Component.
 func (m *Map) Name() string { return m.name }
 
@@ -224,7 +215,7 @@ func (m *Map) OutputLinks() []*sim.Link { return []*sim.Link{m.out} }
 
 // Done implements sim.Component.
 func (m *Map) Done() bool {
-	if m.cyclic {
+	if m.doneWhenEmpty {
 		return m.pipe.Len() == 0
 	}
 	return m.eos

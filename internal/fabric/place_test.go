@@ -139,7 +139,7 @@ func TestGraphNetlist(t *testing.T) {
 	ctl := NewLoopCtl()
 	g.Add(NewSource("src", nil, ext).Typed(s))
 	g.Add(NewLoopMerge("entry", recirc, ext, body, ctl).Typed(s, s, s))
-	g.Add(NewMap("dec", func(*record.Rec) {}, body, dec).Cyclic().Typed(s, s))
+	g.Add(NewMap("dec", func(*record.Rec) {}, body, dec).Typed(s, s))
 	g.Add(NewFilter("exit?", func(*record.Rec) int { return 0 }, dec, []Output{
 		{Link: exit, Exit: true},
 		{Link: recirc, NoEOS: true},

@@ -27,7 +27,7 @@ func countdownLoop(g *Graph, mkLink func(string) *sim.Link, swap bool) *Sink {
 		if c := r.Get(1); c > 0 {
 			r.Put(1, c-1)
 		}
-	}, body, dec).Cyclic())
+	}, body, dec))
 	g.Add(NewFilter("exit?", func(r *record.Rec) int {
 		if r.Get(1) == 0 {
 			return 0

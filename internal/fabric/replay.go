@@ -27,6 +27,8 @@ import (
 // swapped LoopMerge, an uncounted side entrance) are also structural
 // Check errors, and the point of the replay is to show the prover's
 // runtime prediction holds, not that a second analyzer objects earlier.
+// It does install the drain roles Check would derive (drainroles.go), so
+// a loop's nodes finish exactly as they would under Graph.Run.
 
 // ReplayBudget bounds a replay in cycles: generous enough that a healthy
 // graph of Inject records finishes, small enough that a witness wrongly
@@ -41,6 +43,8 @@ func ReplayBudget(w *flow.Witness) int64 {
 // predicted component — is returned as an error describing the
 // divergence.
 func ReplayWitness(g *Graph, w *flow.Witness) error {
+	comps, ends, _ := g.attribute()
+	deriveDrainRoles(comps, ends)
 	var runErr error
 	panicked, panicMsg := false, ""
 	func() {

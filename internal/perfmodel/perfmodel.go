@@ -41,10 +41,6 @@ type Model struct {
 	Peak float64
 
 	// Pipeline terms (cycles at P=1) and memory traffic (bytes/record).
-	HashBuild      Term
-	HashBuildBytes float64
-	HashProbe      Term
-	HashProbeBytes float64
 	Partition      Term
 	PartitionBytes float64
 	SortPass       Term // one streaming pass over n records
@@ -76,13 +72,7 @@ func Default() Model {
 	return Model{
 		Peak: dram.DefaultConfig().PeakBytesPerCycle(),
 		// Fitted from cycle-level runs at n = 8k and 32k (see the
-		// calibration tests). Build/probe constants are the on-chip
-		// (join-path) regime: partitions are sized to the scratchpad, so
-		// their bytes are the dense partition read-back.
-		HashBuild:      Term{Fixed: 100, PerRec: 0.15},
-		HashBuildBytes: 8,
-		HashProbe:      Term{Fixed: 600, PerRec: 0.23},
-		HashProbeBytes: 8,
+		// calibration tests).
 		Partition:      Term{Fixed: 700, PerRec: 0.21},
 		PartitionBytes: 9,
 		SortPass:       Term{Fixed: 500, PerRec: 0.07},
@@ -126,8 +116,8 @@ func sortPasses(n int64) float64 {
 }
 
 // HashJoinCycles models the full partitioned hash join of fig. 11a using
-// the composed-level fits (the per-kernel terms underestimate inter-phase
-// overheads; see KernelSumCycles for the decomposition). The pipeline cost
+// the composed-level fits (summing the per-kernel terms of fig. 12 would
+// underestimate the inter-phase overheads). The pipeline cost
 // is the lower envelope of the two regime chords — the composed cost curve
 // is concave in n because short streams pay fill/drain per round while
 // deep streams amortize it — rooflined against DRAM bandwidth.
@@ -138,16 +128,6 @@ func (m Model) HashJoinCycles(nBuild, nProbe int64, p int) float64 {
 	pipe := math.Min(small, large)
 	mem := m.JoinComposedBytes * float64(n) / m.Peak
 	return math.Max(pipe, mem)
-}
-
-// KernelSumCycles is the per-kernel decomposition of the join (fig. 12's
-// per-kernel curves use the individual terms).
-func (m Model) KernelSumCycles(nBuild, nProbe int64, p int) float64 {
-	c := m.kernel(m.Partition, m.PartitionBytes, nBuild, p)
-	c += m.kernel(m.Partition, m.PartitionBytes, nProbe, p)
-	c += m.kernel(m.HashBuild, m.HashBuildBytes, nBuild, p)
-	c += m.kernel(m.HashProbe, m.HashProbeBytes, nProbe, p)
-	return c
 }
 
 // PartitionCycles models one radix-partition pass.

@@ -83,12 +83,6 @@ func (r *Rec) Put(i int, v uint32) {
 	}
 }
 
-// PutU64 writes v across fields i and i+1 in place.
-func (r *Rec) PutU64(i int, v uint64) {
-	r.Put(i, uint32(v))
-	r.Put(i+1, uint32(v>>32))
-}
-
 // Append returns a copy of r with v appended as a new trailing field.
 func (r Rec) Append(v uint32) Rec {
 	if int(r.N) >= MaxFields {

@@ -92,8 +92,7 @@ type ReorderDecl struct {
 	// "Write(disjoint addrs)".
 	Detail string
 	// Waiver, when non-empty, accepts an order-dependent effect with a
-	// human-written justification (the graph-level analogue of a
-	// lint:orderdep-ok comment). Waived declarations surface in
+	// human-written justification. Waived declarations surface in
 	// ProofReport.Waived instead of failing the proof.
 	Waiver string
 }

@@ -85,9 +85,9 @@ func (o Op) Commutativity() sim.ReorderClass {
 }
 
 // CombineFn is a named, classified combiner for OpModify streams. Declaring
-// one (instead of a bare Modify closure) is what lets the static orderdep
-// analyzer and the graph prover accept the stream: the Class field is the
-// stream author's machine-checked claim about the combiner's algebra.
+// one (instead of a bare Modify closure) is what lets Graph.Check accept
+// the stream: the Class field is the stream author's machine-checked claim
+// about the combiner's algebra.
 type CombineFn struct {
 	// Name identifies the combiner in diagnostics ("add", "min", ...).
 	Name string
@@ -173,11 +173,10 @@ type Spec struct {
 	// order-dependent op to commutative for the prover: updates that never
 	// collide cannot observe each other's order. The assertion is the
 	// kernel author's to make — it is stated here so it is auditable in
-	// one place and visible to the static analyzer.
+	// one place and visible to the reorder-safety check.
 	DisjointAddrs bool
 	// OrderWaiver accepts a genuinely order-dependent stream with a
-	// human-written justification (the Spec-level analogue of a
-	// lint:orderdep-ok comment). Waived streams surface in
+	// human-written justification. Waived streams surface in
 	// ProofReport.Waived rather than failing the reorder-safety proof.
 	OrderWaiver string
 	// Lossy declares that Apply may return keep == false, dropping the
