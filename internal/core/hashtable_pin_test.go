@@ -152,6 +152,6 @@ func TestHashTableOverflowPinned(t *testing.T) {
 		for _, k := range ks {
 			digestWords(h, uint64(k), uint64(groups[k]))
 		}
-		checkTablePin(t, res, h.Sum64(), tablePin{939, 0, 0x3cf7e242b1c2a097, 0x229618acd55634f})
+		checkTablePin(t, res, h.Sum64(), tablePin{891, 0, 0x6ac0f65a429c6c63, 0x229618acd55634f})
 	})
 }
